@@ -57,7 +57,6 @@ from .metric_graph import (
     cut_points_from,
     distance,
     format_point,
-    graph_to_json,
     is_edge_minimizing,
     parse_point,
     path_segment_lengths,

@@ -13,7 +13,6 @@ clamped-quantile characterization of edge-supported barycenters.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,10 +30,13 @@ from .line_ot import (
     measure_from_quantile,
     w2_line,
 )
-from .metric_graph import GraphPoint, MetricGraph, OrientedEdge, distance
+from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
     GraphMeasure,
+    _cost_matrix,
+    _coupling_rows,
+    _edge_cells,
     discrete_measure,
     discretize,
     graph_measure,
@@ -95,8 +97,7 @@ def candidate_support(problem: BarycenterProblem) -> list[GraphPoint]:
     g = problem.graph
     points = [GraphPoint.at_vertex(v) for v in g.vertices]
     for e in g.edges:
-        n = max(1, math.ceil(e.length / problem.grid - 1e-12))
-        width = e.length / n
+        n, width = _edge_cells(e.length, problem.grid)
         points.extend(
             GraphPoint.on_edge(e.id, (k + 0.5) * width) for k in range(n)
         )
@@ -141,28 +142,20 @@ def solve_lp(
     row0 = 0
     offset = n
     for (lam, target), k in zip(targets, sizes):
-        dmat = np.empty((n, k))
-        for i, x in enumerate(support):
-            for j, y in enumerate(target.points):
-                dmat[i, j] = distance(g, x, y) ** 2
-        cost[offset : offset + n * k] = lam * dmat.ravel()
+        cost[offset : offset + n * k] = lam * _cost_matrix(g, support, target.points).ravel()
 
-        # row sums of this coupling equal the barycenter weights
-        rows.append(np.repeat(np.arange(n), k) + row0)
-        cols.append(np.arange(n * k) + offset)
-        vals.append(np.ones(n * k))
+        # row sums of this coupling equal the barycenter weights, column sums
+        # the discretized input
+        r, c = _coupling_rows(n, k)
+        rows.append(r + row0)
+        cols.append(c + offset)
+        vals.append(np.ones(2 * n * k))
         rows.append(np.arange(n) + row0)
         cols.append(np.arange(n))
         vals.append(-np.ones(n))
         b_parts.append(np.zeros(n))
-        row0 += n
-
-        # column sums equal the discretized input
-        rows.append(np.tile(np.arange(k), n) + row0)
-        cols.append(np.arange(n * k) + offset)
-        vals.append(np.ones(n * k))
         b_parts.append(np.asarray(target.weights))
-        row0 += k
+        row0 += n + k
         offset += n * k
 
     # total barycenter mass
@@ -231,8 +224,7 @@ def _project_line_to_edge_grid(
     """
     e = g.edge(oe.edge)
     e0, e1 = g.oriented_endpoints(oe)
-    n = max(1, math.ceil(e.length / h - 1e-12))
-    width = e.length / n
+    n, width = _edge_cells(e.length, h)
     cell_mass = [0.0] * n
     v0_mass = 0.0
     v1_mass = 0.0

@@ -60,9 +60,10 @@ def _load_graph(path: str) -> MetricGraph:
     return build_graph(_load_json(path))
 
 
-def _parse_point(g: MetricGraph, literal: str):
+def _parsed(fn, *args):
+    """Call ``fn`` on command-line input, reporting its ValueError as a parse error."""
     try:
-        return parse_point(g, literal)
+        return fn(*args)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -149,6 +150,7 @@ def _cmd_w2(args) -> dict:
 
 def _cmd_phi(args) -> dict:
     g = _load_graph(args.graph)
+    _parsed(g.edge, args.edge)
     base = discretize(g, graph_measure_from_json(g, _load_json(args.base)), args.grid)
     nu = discretize(g, graph_measure_from_json(g, _load_json(args.measure)), args.grid)
     ctx = make_cover_context(g, args.edge, base)
@@ -172,6 +174,7 @@ def _cmd_bary(args) -> dict:
         }
     if not args.edge:
         raise ParseError("--edge is required for --method fixed-point")
+    _parsed(problem.graph.edge, args.edge)
     result = solve_edge_fixed_point(
         problem, args.edge, max_iter=args.max_iter, eps=args.eps, init=args.init
     )
@@ -276,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "dist":
             g = _load_graph(args.graph)
-            d = distance(g, _parse_point(g, args.src), _parse_point(g, args.dst))
+            x, y = (_parsed(parse_point, g, lit) for lit in (args.src, args.dst))
+            d = distance(g, x, y)
             sys.stdout.write(f"{d:.{DIGITS}g}\n")
             return 0
         handler = {

@@ -10,8 +10,12 @@ error anywhere in this module.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import GraphValidationError
 
@@ -93,7 +97,7 @@ class GeodesicPath:
 
 
 class MetricGraph:
-    """A validated, immutable metric graph with precomputed geodesic tables.
+    """A validated, immutable metric graph with a precomputed vertex-distance table.
 
     Instances are built through :func:`build_graph`. All public attributes are
     read-only by convention; operations in this module are pure functions, so
@@ -113,33 +117,17 @@ class MetricGraph:
             v: tuple(sorted(e.id for e, _, _ in nbrs)) for v, nbrs in adj.items()
         }
         self.min_edge_length = min(e.length for e in edges)
-        self._dist: dict[str, dict[str, float]] = {}
-        self._key: dict[str, dict[str, tuple]] = {}
-        for v in vertices:
-            d, k = self._dijkstra(v)
-            self._dist[v] = d
-            self._key[v] = k
+        self._index = {v: i for i, v in enumerate(vertices)}
+        # one table cell per vertex pair: a parallel pair enters by its shortest edge
+        lengths = np.full((len(vertices), len(vertices)), np.inf)
+        for e in edges:
+            i, j = self._index[e.u], self._index[e.v]
+            lengths[i, j] = lengths[j, i] = min(lengths[i, j], e.length)
+        self._dist: list[list[float]] = csgraph.dijkstra(lengths).tolist()
         self._minimizing = {
-            e.id: self._dist[e.u][e.v] >= e.length - 1e-12 * max(1.0, e.length)
+            e.id: self.vertex_distance(e.u, e.v) >= e.length - 1e-12 * max(1.0, e.length)
             for e in edges
         }
-
-    def _dijkstra(self, source: str):
-        # Ties between equal-length paths are broken by the lexicographically
-        # smallest (edge id, direction) sequence; the heap order enforces it.
-        dist: dict[str, float] = {}
-        key: dict[str, tuple] = {}
-        heap: list[tuple[float, tuple, str]] = [(0.0, (), source)]
-        while heap:
-            d, k, w = heapq.heappop(heap)
-            if w in dist:
-                continue
-            dist[w] = d
-            key[w] = k
-            for edge, other, flag in self._adj[w]:
-                if other not in dist:
-                    heapq.heappush(heap, (d + edge.length, k + ((edge.id, flag),), other))
-        return dist, key
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -151,7 +139,7 @@ class MetricGraph:
         return v in self._adj
 
     def vertex_distance(self, a: str, b: str) -> float:
-        return self._dist[a][b]
+        return self._dist[self._index[a]][self._index[b]]
 
     def canonical(self, p: GraphPoint) -> GraphPoint:
         """Return the unique canonical representation of ``p`` on this graph."""
@@ -199,9 +187,9 @@ def build_graph(spec: Mapping) -> MetricGraph:
     """Validate a graph description and build the metric graph.
 
     ``spec`` is a mapping with a ``vertices`` list of ids and an ``edges`` list
-    of ``{"id", "u", "v", "length"}`` records. Rejects nonpositive lengths,
-    self-loops, isolated vertices, and disconnected graphs, each with its own
-    diagnostic. Parallel edges with distinct ids are allowed.
+    of ``{"id", "u", "v", "length"}`` records. Rejects nonpositive or infinite
+    lengths, self-loops, isolated vertices, and disconnected graphs, each with
+    its own diagnostic. Parallel edges with distinct ids are allowed.
     """
     try:
         raw_vertices = list(spec["vertices"])
@@ -234,6 +222,8 @@ def build_graph(spec: Mapping) -> MetricGraph:
             raise GraphValidationError(
                 f"edge {eid!r} has nonpositive length {length!r}; lengths must be > 0"
             )
+        if not math.isfinite(length):
+            raise GraphValidationError(f"edge {eid!r} has non-finite length {length!r}")
         edges.append(Edge(eid, u, v, length))
     edges_t = tuple(sorted(edges, key=lambda e: e.id))
 
@@ -245,64 +235,32 @@ def build_graph(spec: Mapping) -> MetricGraph:
     if isolated:
         raise GraphValidationError(f"isolated vertices (degree 0): {isolated}")
 
-    # connectivity over the vertex skeleton
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    nbrs: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in edges_t:
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
-    while stack:
-        w = stack.pop()
-        for nxt in nbrs[w]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != len(vertices):
-        missing = sorted(vset - seen)
+    g = MetricGraph(vertices, edges_t)
+    missing = sorted(v for v, d in zip(vertices, g._dist[0]) if d == math.inf)
+    if missing:
         raise GraphValidationError(f"graph is disconnected; unreachable vertices: {missing}")
+    return g
 
-    return MetricGraph(vertices, edges_t)
 
-
-def _exit_routes(g: MetricGraph, p: GraphPoint):
-    """Ways out of ``p``: (cost to reach a vertex, vertex, exit steps)."""
+def _exits(g: MetricGraph, p: GraphPoint):
+    """Ways out of ``p``: (cost to reach a vertex, vertex, exit direction or None)."""
     if p.vertex is not None:
-        return ((0.0, p.vertex, ()),)
+        return ((0.0, p.vertex, None),)
     e = g.edge(p.edge)
-    return (
-        (p.offset, e.u, ((e.id, _BWD),)),
-        (e.length - p.offset, e.v, ((e.id, _FWD),)),
-    )
+    return ((p.offset, e.u, _BWD), (e.length - p.offset, e.v, _FWD))
 
 
 def _flip(steps):
     return tuple((eid, _FWD if d == _BWD else _BWD) for eid, d in reversed(steps))
 
 
-def _best_route(g: MetricGraph, x: GraphPoint, y: GraphPoint):
-    """Minimal (cost, step key) over all route candidates from x to y.
-
-    Candidates: the within-edge segment when both points share an edge, plus
-    every combination of exits to the vertex skeleton. Interior points have at
-    most two exits, so the enumeration is exact.
-    """
-    cands = []
-    if x.edge is not None and x.edge == y.edge:
-        d = _FWD if x.offset < y.offset else _BWD
-        cands.append((abs(y.offset - x.offset), ((x.edge, d),)))
-    for c1, w1, s1 in _exit_routes(g, x):
-        row_d = g._dist[w1]
-        row_k = g._key[w1]
-        for c2, w2, s2 in _exit_routes(g, y):
-            cands.append(((c1 + row_d[w2]) + c2, s1 + row_k[w2] + _flip(s2)))
-    return min(cands)
-
-
 def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     """Length distance between two points of the graph.
 
-    Symmetric by construction: the pair is evaluated in a canonical order, so
+    The minimum over the within-edge segment when both points share an edge,
+    plus every combination of exits to the vertex skeleton. Interior points
+    have at most two exits, so the enumeration is exact. Symmetric by
+    construction: the pair is evaluated in a canonical order, so
     ``distance(g, x, y)`` and ``distance(g, y, x)`` return the same float.
     """
     x = g.canonical(x)
@@ -311,7 +269,32 @@ def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
         return 0.0
     if y.sort_key() < x.sort_key():
         x, y = y, x
-    return _best_route(g, x, y)[0]
+    cands = []
+    if x.edge is not None and x.edge == y.edge:
+        cands.append(abs(y.offset - x.offset))
+    for c1, w1, _ in _exits(g, x):
+        row = g._dist[g._index[w1]]
+        for c2, w2, _ in _exits(g, y):
+            cands.append((c1 + row[g._index[w2]]) + c2)
+    return min(cands)
+
+
+def _dijkstra(g: MetricGraph, source: str):
+    # Ties between equal-length paths are broken by the lexicographically
+    # smallest (edge id, direction) sequence; the heap order enforces it.
+    dist: dict[str, float] = {}
+    key: dict[str, tuple] = {}
+    heap: list[tuple[float, tuple, str]] = [(0.0, (), source)]
+    while heap:
+        d, k, w = heapq.heappop(heap)
+        if w in dist:
+            continue
+        dist[w] = d
+        key[w] = k
+        for edge, other, flag in g._adj[w]:
+            if other not in dist:
+                heapq.heappush(heap, (d + edge.length, k + ((edge.id, flag),), other))
+    return dist, key
 
 
 def shortest_path(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> GeodesicPath:
@@ -319,7 +302,8 @@ def shortest_path(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> GeodesicPath:
 
     Among equal-length paths the lexicographically smallest
     (edge id, direction) sequence is returned, which makes the result
-    reproducible across runs.
+    reproducible across runs. The route candidates are those of
+    :func:`distance`, searched from each exit vertex of the first point.
     """
     x = g.canonical(x)
     y = g.canonical(y)
@@ -327,7 +311,17 @@ def shortest_path(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> GeodesicPath:
         return GeodesicPath(start=x, end=y, steps=(), length=0.0)
     swapped = y.sort_key() < x.sort_key()
     a, b = (y, x) if swapped else (x, y)
-    cost, steps = _best_route(g, a, b)
+    cands = []
+    if a.edge is not None and a.edge == b.edge:
+        d = _FWD if a.offset < b.offset else _BWD
+        cands.append((abs(b.offset - a.offset), ((a.edge, d),)))
+    for c1, w1, d1 in _exits(g, a):
+        s1 = () if d1 is None else ((a.edge, d1),)
+        row_d, row_k = _dijkstra(g, w1)
+        for c2, w2, d2 in _exits(g, b):
+            s2 = () if d2 is None else ((b.edge, d2),)
+            cands.append(((c1 + row_d[w2]) + c2, s1 + row_k[w2] + _flip(s2)))
+    cost, steps = min(cands)
     if swapped:
         steps = _flip(steps)
     public = tuple((eid, d == _FWD) for eid, d in steps)
@@ -370,9 +364,8 @@ def cut_points_from(g: MetricGraph, v: str) -> list[tuple[str, float]]:
     if not g.has_vertex(v):
         raise ValueError(f"unknown vertex id {v!r}")
     out = []
-    row = g._dist[v]
     for e in g.edges:
-        t = 0.5 * (row[e.v] - row[e.u] + e.length)
+        t = 0.5 * (g.vertex_distance(v, e.v) - g.vertex_distance(v, e.u) + e.length)
         if SNAP_TOL < t < e.length - SNAP_TOL:
             out.append((e.id, t))
     return sorted(out)
@@ -398,11 +391,3 @@ def format_point(p: GraphPoint, digits: int | None = None) -> str:
     off = f"{p.offset:.{digits}g}" if digits is not None else repr(p.offset)
     return f"{p.edge}:{off}"
 
-
-def graph_to_json(g: MetricGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in g.edges
-        ],
-    }

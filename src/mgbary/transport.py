@@ -72,6 +72,8 @@ def graph_measure(
     merged: dict[GraphPoint, float] = {}
     for p, m in atoms:
         m = float(m)
+        if not math.isfinite(m):
+            raise MeasureValidationError(f"non-finite atom mass {m!r}")
         if m < -MASS_TOL:
             raise MeasureValidationError(f"negative atom mass {m!r}")
         if m <= 0.0:
@@ -84,6 +86,10 @@ def graph_measure(
     for eid, a, b, d in pieces:
         e = g.edge(eid)
         a, b, d = float(a), float(b), float(d)
+        if not all(map(math.isfinite, (a, b, d))):
+            raise MeasureValidationError(
+                f"non-finite piece [{a!r}, {b!r}) density {d!r} on edge {eid!r}"
+            )
         if d < -MASS_TOL:
             raise MeasureValidationError(f"negative density {d!r} on edge {eid!r}")
         if b <= a:
@@ -177,6 +183,12 @@ def _make_plan(g: MetricGraph, entries) -> TransportPlan:
     return TransportPlan(entries=ordered, cost=cost)
 
 
+def _edge_cells(length: float, h: float) -> tuple[int, float]:
+    """Number and width of the equal cells of spacing at most ``h`` on a length."""
+    n = max(1, math.ceil(length / h - 1e-12))
+    return n, length / n
+
+
 def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
     """Replace density pieces by cell-center atoms on a grid of spacing <= h.
 
@@ -188,8 +200,7 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
         raise MeasureValidationError(f"grid spacing must be positive, got {h!r}")
     pairs: list[tuple[GraphPoint, float]] = list(m.atoms)
     for eid, a, b, d in m.pieces:
-        n = max(1, math.ceil((b - a) / h - 1e-12))
-        width = (b - a) / n
+        n, width = _edge_cells(b - a, h)
         for k in range(n):
             center = a + (k + 0.5) * width
             pairs.append((GraphPoint.on_edge(eid, center), d * width))
@@ -198,6 +209,25 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
 
 def _marginal_residual(weights: Sequence[float], sums: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(weights) - sums))) if len(weights) else 0.0
+
+
+def _cost_matrix(
+    g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
+) -> np.ndarray:
+    """Squared distances ``distance(g, x, y) ** 2`` for every pair of points."""
+    cost = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            cost[i, j] = distance(g, x, y) ** 2
+    return cost
+
+
+def _coupling_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the unit entries of the marginal equations of
+    a row-major ``n`` by ``k`` coupling: ``n`` row sums, then ``k`` column sums."""
+    rows = np.concatenate([np.repeat(np.arange(n), k), n + np.tile(np.arange(k), n)])
+    cols = np.tile(np.arange(n * k), 2)
+    return rows, cols
 
 
 def w2_graph(
@@ -217,11 +247,6 @@ def w2_graph(
         If the solver fails or the plan's marginals drift beyond 1e-10.
     """
     n, k = len(m1.points), len(m2.points)
-    cost = np.empty((n, k))
-    for i, x in enumerate(m1.points):
-        for j, y in enumerate(m2.points):
-            cost[i, j] = distance(g, x, y) ** 2
-
     if n == 1:
         x = m1.points[0]
         entries = [(x, y, w) for y, w in zip(m2.points, m2.weights)]
@@ -233,17 +258,9 @@ def w2_graph(
         plan = _make_plan(g, entries)
         return plan.cost, plan
 
-    rows = []
-    cols = []
-    for i in range(n):
-        rows.append(np.full(k, i))
-        cols.append(np.arange(k) + i * k)
-    for j in range(k):
-        rows.append(np.full(n, n + j))
-        cols.append(np.arange(n) * k + j)
+    cost = _cost_matrix(g, m1.points, m2.points)
     a_eq = sparse.csr_matrix(
-        (np.ones(2 * n * k), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + k, n * k),
+        (np.ones(2 * n * k), _coupling_rows(n, k)), shape=(n + k, n * k)
     )
     b_eq = np.concatenate([m1.weights, m2.weights])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
@@ -434,9 +451,11 @@ def graph_measure_from_json(g: MetricGraph, obj: dict) -> GraphMeasure:
             (rec["edge"], rec["a"], rec["b"], rec["density"])
             for rec in obj.get("pieces", [])
         ]
+        return graph_measure(g, atoms=atoms, pieces=pieces)
     except (KeyError, TypeError) as exc:
         raise MeasureValidationError(f"malformed measure record: {exc}") from None
-    return graph_measure(g, atoms=atoms, pieces=pieces)
+    except ValueError as exc:  # unknown edge or vertex id, offset off its edge
+        raise MeasureValidationError(str(exc)) from None
 
 
 def discrete_to_graph_measure(m: DiscreteMeasure) -> GraphMeasure:

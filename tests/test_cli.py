@@ -255,6 +255,43 @@ class TestRoundTrip:
         assert json.loads(out)["measure_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("validate", "invalid-measure"),
+        ("bary-fixed-point", "parse-error"),
+        ("phi", "parse-error"),
+    ],
+)
+def test_unknown_edge_id_is_a_json_error(command, code, tmp_path):
+    gpath = tmp_path / "tripod.json"
+    gpath.write_text(json.dumps(TRIPOD))
+    on_zz = tmp_path / "on_zz.json"
+    piece = {"edge": "zz", "a": 0.0, "b": 1.0, "density": 1.0}
+    on_zz.write_text(json.dumps({"atoms": [], "pieces": [piece]}))
+    at_o = tmp_path / "at_o.json"
+    at_o.write_text(json.dumps({"atoms": [{"point": "v:o", "mass": 1.0}], "pieces": []}))
+    ppath = tmp_path / "problem.json"
+    ppath.write_text(json.dumps(tripod_problem()))
+    args = {
+        "validate": ["validate", "--graph", str(gpath), "--measure", str(on_zz)],
+        "bary-fixed-point": [
+            "bary", "--problem", str(ppath), "--method", "fixed-point", "--edge", "zz",
+        ],
+        "phi": [
+            "phi", "--graph", str(gpath), "--edge", "zz",
+            "--base", str(at_o), "--measure", str(at_o), "--grid", "0.1",
+        ],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgbary.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == code
+    assert "unknown edge id 'zz'" in json.loads(proc.stdout)["detail"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point_runs(tmp_path):
     gpath = tmp_path / "triangle.json"
     gpath.write_text(json.dumps(TRIANGLE))

@@ -47,6 +47,15 @@ class TestBuild:
                 }
             )
 
+    def test_infinite_length_rejected(self):
+        with pytest.raises(GraphValidationError, match="non-finite length inf"):
+            build_graph(
+                {
+                    "vertices": ["A", "B"],
+                    "edges": [{"id": "e", "u": "A", "v": "B", "length": float("inf")}],
+                }
+            )
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphValidationError, match="self-loop"):
             build_graph(
@@ -57,7 +66,9 @@ class TestBuild:
             )
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphValidationError, match="disconnected"):
+        with pytest.raises(
+            GraphValidationError, match=r"disconnected; unreachable vertices: \['C', 'D'\]"
+        ):
             build_graph(
                 {
                     "vertices": ["A", "B", "C", "D"],
@@ -133,6 +144,14 @@ class TestShortestPath:
         p = shortest_path(tripod, V("t1"), V("t2"))
         assert p.length == 2.0
         assert p.steps == (("b1", False), ("b2", True))
+
+    def test_tie_between_both_exits_of_an_interior_point(self, square):
+        # both routes have length 2.0 exactly; the smaller step sequence wins
+        p = shortest_path(square, E("s12", 0.5), E("s34", 0.5))
+        assert p.length == 2.0
+        assert p.steps == (("s12", True), ("s23", True), ("s34", True))
+        q = shortest_path(square, E("s34", 0.5), E("s12", 0.5))
+        assert q.steps == (("s34", False), ("s23", False), ("s12", False))
 
     def test_same_point_empty_path(self, tripod):
         p = shortest_path(tripod, E("b1", 0.4), E("b1", 0.4))

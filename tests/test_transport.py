@@ -9,6 +9,7 @@ from mgbary import (
     GraphPoint,
     MeasureValidationError,
     OrientedEdge,
+    build_graph,
     classify_pair,
     decompose_plan,
     discrete_measure,
@@ -20,7 +21,8 @@ from mgbary import (
     restrict,
     w2_graph,
 )
-from conftest import make_segment
+from mgbary.transport import _cost_matrix
+from conftest import make_segment, random_point
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -42,6 +44,58 @@ def brute_force_uniform_cost(g, points1, points2):
         c = sum(distance(g, points1[i], points2[perm[i]]) ** 2 for i in range(n)) / n
         best = min(best, c)
     return best
+
+
+def random_graph(rng):
+    """A connected graph with unequal edge lengths and parallel edges."""
+    vs = [f"v{i}" for i in range(rng.randint(3, 8))]
+    pairs = [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
+    pairs += [tuple(rng.sample(vs, 2)) for _ in range(len(vs))]
+    pairs += [rng.choice(pairs) for _ in range(2)]
+    edges = [
+        {"id": f"e{k}", "u": u, "v": v, "length": rng.uniform(0.1, 2.0)}
+        for k, (u, v) in enumerate(pairs)
+    ]
+    return build_graph({"vertices": vs, "edges": edges})
+
+
+class TestCostMatrix:
+    def test_entries_are_squared_distance_bits(self):
+        # exact equality: the LPs must see the same floats as distance(...) ** 2
+        rng = random.Random(2024)
+        for _ in range(60):
+            g = random_graph(rng)
+            xs = [random_point(g, rng) for _ in range(12)]
+            ys = [random_point(g, rng) for _ in range(9)]
+            for a, b in ((xs, ys), (ys, xs)):
+                cost = _cost_matrix(g, a, b)
+                assert cost.shape == (len(a), len(b))
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        assert cost[i, j] == distance(g, x, y) ** 2
+
+
+class TestGraphMeasureValidation:
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_atom_mass_rejected(self, tripod, mass):
+        with pytest.raises(MeasureValidationError, match="non-finite atom mass"):
+            graph_measure(tripod, atoms=[(V("o"), 1.0), (V("t1"), mass)])
+
+    @pytest.mark.parametrize(
+        "piece",
+        [("b1", math.nan, 1.0, 1.0), ("b1", 0.0, math.nan, 1.0), ("b1", 0.0, 1.0, math.nan)],
+    )
+    def test_non_finite_piece_rejected(self, tripod, piece):
+        with pytest.raises(MeasureValidationError, match="non-finite piece"):
+            graph_measure(tripod, pieces=[piece])
+
+    def test_unknown_edge_in_json_is_a_measure_error(self, tripod):
+        with pytest.raises(MeasureValidationError, match="unknown edge id 'zz'"):
+            graph_measure_from_json(
+                tripod, {"pieces": [{"edge": "zz", "a": 0.0, "b": 1.0, "density": 1.0}]}
+            )
+        with pytest.raises(MeasureValidationError, match="unknown edge id 'zz'"):
+            graph_measure_from_json(tripod, {"atoms": [{"point": "zz:0.5", "mass": 1.0}]})
 
 
 class TestDiscretize:
