@@ -30,7 +30,8 @@ print("support of the mix:", support_bounds(mix))
 # Quantile functions are piecewise linear: flats are atoms, ramps are
 # densities, jumps are support gaps. They round-trip with the measure.
 q = quantile(mix)
-print("quantile breakpoints (t, value, right-slope):", q.breakpoints)
+breakpoints = tuple((t0, v0, (v1 - v0) / (t1 - t0)) for t0, t1, v0, v1 in q.segments)
+print("quantile breakpoints (t, value, right-slope):", breakpoints)
 print("round-trip equals the original:", measure_from_quantile(q).isclose(mix))
 
 # Distance examples with known closed forms.

@@ -22,7 +22,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .covering import make_cover_context, measure_on_edge_as_line, phi
-from .errors import MeasureValidationError, SolverConsistencyError, SupportCapError
+from .errors import ParseError, SolverConsistencyError, SupportCapError
 from .line_ot import (
     LineMeasure,
     QuantileFn,
@@ -34,6 +34,7 @@ from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
     GraphMeasure,
+    _check_marginals,
     _cost_matrix,
     _coupling_rows,
     _edge_cells,
@@ -42,6 +43,7 @@ from .transport import (
     graph_measure,
     w2_graph,
 )
+from .tolerances import CELL_NUDGE, LP_ZERO_TOL, SNAP_TOL, _check_grid, _check_weights
 
 DEFAULT_SUPPORT_CAP = 2_000_000
 SUPPORT_CAP_ENV = "MGBARY_SUPPORT_CAP"
@@ -61,17 +63,8 @@ def barycenter_problem(
     measures: Sequence[tuple[float, GraphMeasure]],
     grid: float,
 ) -> BarycenterProblem:
-    if not measures:
-        raise MeasureValidationError("barycenter problem with no measures")
-    total = 0.0
-    for lam, _ in measures:
-        if not lam > 0.0:
-            raise MeasureValidationError(f"nonpositive weight {lam!r}")
-        total += lam
-    if abs(total - 1.0) > 1e-12:
-        raise MeasureValidationError(f"weights sum to {total!r}, expected 1")
-    if not grid > 0.0:
-        raise MeasureValidationError(f"grid spacing must be positive, got {grid!r}")
+    _check_weights([lam for lam, _ in measures])
+    _check_grid(grid)
     return BarycenterProblem(graph=g, measures=tuple(measures), grid=float(grid))
 
 
@@ -119,9 +112,17 @@ def solve_lp(
     SupportCapError
         If the LP would exceed the variable cap (``MGBARY_SUPPORT_CAP``
         overrides the default).
+    ParseError
+        If ``MGBARY_SUPPORT_CAP`` is not an integer.
+    SolverConsistencyError
+        If the solver fails or a coupling's marginals drift beyond ``MARGINAL_TOL``.
     """
     if support_cap is None:
-        support_cap = int(os.environ.get(SUPPORT_CAP_ENV, DEFAULT_SUPPORT_CAP))
+        raw = os.environ.get(SUPPORT_CAP_ENV, DEFAULT_SUPPORT_CAP)
+        try:
+            support_cap = int(raw)
+        except ValueError:
+            raise ParseError(f"{SUPPORT_CAP_ENV} must be an integer, got {raw!r}") from None
     g = problem.graph
     support = candidate_support(problem)
     targets = _targets(problem)
@@ -174,7 +175,11 @@ def solve_lp(
     if not res.success:
         raise SolverConsistencyError(f"barycenter LP failed: {res.message}")
     w = np.maximum(res.x[:n], 0.0)
-    w[w < 1e-13] = 0.0
+    w[w < LP_ZERO_TOL] = 0.0
+    offset = n
+    for (_, target), k in zip(targets, sizes):
+        _check_marginals(res.x[offset : offset + n * k].reshape(n, k), w, target.weights)
+        offset += n * k
     w /= w.sum()
     mu = discrete_measure(
         g, [(p, float(wi)) for p, wi in zip(support, w) if wi > 0.0]
@@ -231,9 +236,9 @@ def _project_line_to_edge_grid(
 
     def deposit(s: float, mass: float):
         nonlocal v0_mass, v1_mass
-        if s <= 1e-12:
+        if s <= SNAP_TOL:
             v0_mass += mass
-        elif s >= e.length - 1e-12:
+        elif s >= e.length - SNAP_TOL:
             v1_mass += mass
         else:
             cell_mass[min(int(s / width), n - 1)] += mass
@@ -242,7 +247,7 @@ def _project_line_to_edge_grid(
         deposit(x, mass)
     for a, b, d in m.pieces:
         k0 = max(0, int(a / width))
-        k1 = min(n - 1, int((b - 1e-15) / width))
+        k1 = min(n - 1, int((b - CELL_NUDGE) / width))
         for k in range(k0, k1 + 1):
             lo = max(a, k * width)
             hi = min(b, (k + 1) * width)

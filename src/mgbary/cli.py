@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -68,14 +69,19 @@ def _parsed(fn, *args):
         raise ParseError(str(exc)) from None
 
 
+def _malformed(what: str, exc: Exception) -> ParseError:
+    reason = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ParseError(f"malformed {what}: {reason}")
+
+
 def _load_problem(path: str, grid_override: float | None) -> BarycenterProblem:
     obj = _load_json(path)
     try:
         graph_field = obj["graph"]
-        recs = obj["measures"]
+        recs = list(obj["measures"])
         grid = float(obj.get("grid", 0.0))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed problem file: missing {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed("problem file", exc) from None
     if isinstance(graph_field, str):
         gpath = graph_field
         if not os.path.isabs(gpath):
@@ -89,8 +95,8 @@ def _load_problem(path: str, grid_override: float | None) -> BarycenterProblem:
             measures.append(
                 (float(rec["weight"]), graph_measure_from_json(g, rec["measure"]))
             )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed measure record: missing {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed("measure record", exc) from None
     if grid_override is not None:
         grid = grid_override
     return barycenter_problem(g, measures, grid)
@@ -190,6 +196,8 @@ def _cmd_bary(args) -> dict:
 
 
 def _cmd_report(args) -> dict:
+    if args.atom_tol is not None and not 0.0 <= args.atom_tol < math.inf:
+        raise ParseError(f"--atom-tol must be finite and not negative, got {args.atom_tol!r}")
     problem = _load_problem(args.problem, args.grid)
     mu, value = solve_lp(problem)
     report = regularity_report(problem, mu, atom_tol=args.atom_tol)

@@ -29,8 +29,7 @@ from .transport import (
     classify_pair,
     w2_graph,
 )
-
-EXC_TOL = 1e-9
+from .tolerances import LENGTH_TOL
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,14 @@ def preimage_count(ctx: CoverContext, tag: BranchTag, x_tilde: float) -> int:
     The E map is counted on the base edge itself; PLUS and MINUS are counted
     on the rest of the graph, matching the three ranges [0, length],
     (length, inf), (-inf, 0) of the unfolding. The count is constant between
-    consecutive exceptional values; queries within 1e-9 of one are rejected
-    because the multiplicity genuinely jumps there.
+    consecutive exceptional values; queries within ``LENGTH_TOL`` of one are
+    rejected because the multiplicity genuinely jumps there.
     """
     exc = exceptional_set(ctx, tag)
     near = min((abs(x_tilde - d) for d in exc), default=float("inf"))
-    if near <= EXC_TOL:
+    if near <= LENGTH_TOL:
         raise ValueError(
-            f"query {x_tilde!r} is within {EXC_TOL} of an exceptional value"
+            f"query {x_tilde!r} is within {LENGTH_TOL} of an exceptional value"
         )
     g = ctx.graph
     e = g.edge(ctx.edge.edge)
@@ -177,7 +176,7 @@ def lift_line_plan(
     for s, y_tilde, mass in theta_tilde:
         if mass <= 0.0:
             continue
-        pre = [p for p in nu.points if abs(h_vals[p] - y_tilde) <= EXC_TOL]
+        pre = [p for p in nu.points if abs(h_vals[p] - y_tilde) <= LENGTH_TOL]
         if not pre:
             raise ValueError(
                 f"target value {y_tilde!r} has no preimage in the support of nu"

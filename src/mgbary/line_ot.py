@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import MeasureValidationError
-
-MASS_TOL = 1e-12
+from .tolerances import MASS_TOL, _check_unit_mass, _check_weights
+from .tolerances import _finite, _merge_atoms, _piece_values
 
 
 @dataclass(frozen=True)
@@ -57,24 +57,13 @@ def line_measure(
 
     Atoms at the same position are merged, zero-mass atoms and zero-width or
     zero-density pieces are dropped, adjacent pieces with equal density are
-    fused, and the total mass must be 1 within ``MASS_TOL``.
+    fused, and the total mass must be 1 within ``UNIT_MASS_TOL``.
     """
-    merged: dict[float, float] = {}
-    for x, m in atoms:
-        x, m = float(x), float(m)
-        if m < -MASS_TOL:
-            raise MeasureValidationError(f"negative atom mass {m!r} at {x!r}")
-        if not math.isfinite(x):
-            raise MeasureValidationError(f"non-finite atom position {x!r}")
-        if m > 0.0:
-            merged[x] = merged.get(x, 0.0) + m
-    atoms_t = tuple(sorted(merged.items()))
+    atoms_t = tuple(_merge_atoms(atoms, _finite, float))
 
     kept = []
     for a, b, d in pieces:
-        a, b, d = float(a), float(b), float(d)
-        if d < -MASS_TOL:
-            raise MeasureValidationError(f"negative density {d!r} on [{a!r}, {b!r})")
+        a, b, d = _piece_values(a, b, d, "")
         if b <= a:
             if b < a - MASS_TOL:
                 raise MeasureValidationError(f"piece with b < a: [{a!r}, {b!r})")
@@ -95,9 +84,7 @@ def line_measure(
     pieces_t = tuple((a, b, d) for a, b, d in fused)
 
     m = LineMeasure(atoms=atoms_t, pieces=pieces_t)
-    total = m.total_mass()
-    if abs(total - 1.0) > 1e-9:
-        raise MeasureValidationError(f"total mass {total!r} is not 1")
+    _check_unit_mass(m.total_mass())
     return m
 
 
@@ -163,14 +150,6 @@ class QuantileFn:
         """Limit value at 1 (the supremum of the support)."""
         return self.segments[-1][3]
 
-    @property
-    def breakpoints(self) -> tuple[tuple[float, float, float], ...]:
-        """(t, value, right-slope) view of the segment list."""
-        out = []
-        for t0, t1, v0, v1 in self.segments:
-            out.append((t0, v0, (v1 - v0) / (t1 - t0)))
-        return tuple(out)
-
     def __call__(self, t: float) -> float:
         if t <= 0.0:
             return self.lower
@@ -218,8 +197,7 @@ def quantile(m: LineMeasure) -> QuantileFn:
             t1 = t + mass
             segs.append([t, t1, a, b])
         t = t1
-    if abs(t - 1.0) > 1e-9:
-        raise MeasureValidationError(f"quantile construction lost mass: {t!r}")
+    _check_unit_mass(t, "quantile construction's mass")
     segs[-1][1] = 1.0
     return QuantileFn(tuple(tuple(s) for s in segs))
 
@@ -290,23 +268,11 @@ def w2_line(m1: LineMeasure, m2: LineMeasure) -> float:
     return math.sqrt(max(0.0, w2_line_squared(m1, m2)))
 
 
-def _check_weights(problem: Sequence[tuple[float, LineMeasure]]):
-    if not problem:
-        raise MeasureValidationError("empty barycenter problem")
-    wsum = 0.0
-    for lam, _ in problem:
-        if not lam > 0.0:
-            raise MeasureValidationError(f"nonpositive weight {lam!r}")
-        wsum += lam
-    if abs(wsum - 1.0) > MASS_TOL:
-        raise MeasureValidationError(f"weights sum to {wsum!r}, expected 1")
-
-
 def average_quantile(problem: Sequence[tuple[float, LineMeasure]]) -> QuantileFn:
     """Weighted average of the quantile functions of the given measures."""
-    _check_weights(problem)
-    qs = [quantile(m) for _, m in problem]
     lams = [lam for lam, _ in problem]
+    _check_weights(lams)
+    qs = [quantile(m) for _, m in problem]
     breaks = _merged_breaks(qs)
     segs = []
     for t0, t1 in zip(breaks, breaks[1:]):
@@ -336,9 +302,9 @@ def dispersion(problem: Sequence[tuple[float, LineMeasure]]) -> float:
     measure the objective splits into this constant plus the squared distance
     to the barycenter.
     """
-    _check_weights(problem)
-    qs = [quantile(m) for _, m in problem]
     lams = [lam for lam, _ in problem]
+    _check_weights(lams)
+    qs = [quantile(m) for _, m in problem]
     breaks = _merged_breaks(qs)
     total = 0.0
     for t0, t1 in zip(breaks, breaks[1:]):
@@ -366,6 +332,6 @@ def line_measure_from_json(obj: dict) -> LineMeasure:
     try:
         atoms = [(rec["x"], rec["mass"]) for rec in obj.get("atoms", [])]
         pieces = [(rec["a"], rec["b"], rec["density"]) for rec in obj.get("pieces", [])]
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise MeasureValidationError(f"malformed line measure record: {exc}") from None
     return line_measure(atoms=atoms, pieces=pieces)

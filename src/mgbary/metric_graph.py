@@ -18,10 +18,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from .errors import GraphValidationError
-
-# Offsets this close to an endpoint collapse to the vertex itself, so every
-# location on the graph has exactly one canonical representation.
-SNAP_TOL = 1e-12
+from .tolerances import LENGTH_TOL, REL_TOL, SNAP_TOL
 
 _FWD = 0
 _BWD = 1
@@ -125,7 +122,7 @@ class MetricGraph:
             lengths[i, j] = lengths[j, i] = min(lengths[i, j], e.length)
         self._dist: list[list[float]] = csgraph.dijkstra(lengths).tolist()
         self._minimizing = {
-            e.id: self.vertex_distance(e.u, e.v) >= e.length - 1e-12 * max(1.0, e.length)
+            e.id: self.vertex_distance(e.u, e.v) >= e.length - REL_TOL * max(1.0, e.length)
             for e in edges
         }
 
@@ -149,7 +146,7 @@ class MetricGraph:
             return GraphPoint(vertex=p.vertex)
         e = self.edge(p.edge)
         off = float(p.offset)
-        if not (-1e-9 <= off <= e.length + 1e-9):
+        if not (-LENGTH_TOL <= off <= e.length + LENGTH_TOL):
             raise ValueError(
                 f"offset {off!r} outside [0, {e.length!r}] on edge {e.id!r}"
             )

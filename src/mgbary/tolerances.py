@@ -1,0 +1,70 @@
+"""Every numerical tolerance of the package, each defined once with its role,
+and the shared checks of measure input. Checks are written ``not x <= tol``
+so that NaN, which fails every comparison, is rejected.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .errors import MeasureValidationError
+
+SNAP_TOL = 1e-12  # an offset this close to an edge endpoint is that vertex
+LENGTH_TOL = 1e-9  # two lengths (offsets, route costs, branch-map values) agree
+MASS_TOL = 1e-12  # slack on negative masses, piece overlaps and weight sums
+UNIT_MASS_TOL = 1e-9  # a measure's total mass must be 1 within this
+LP_ZERO_TOL = 1e-13  # LP solution entries below this are zero
+MARGINAL_TOL = 1e-10  # largest marginal residual a solved coupling may have
+REL_TOL = 1e-12  # relative slack of grid cell counts and minimizing-edge tests
+CELL_NUDGE = 1e-15  # keeps a piece ending on a cell boundary out of the next cell
+
+
+def _finite(x, what: str = "atom position") -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise MeasureValidationError(f"non-finite {what} {x!r}")
+    return x
+
+
+def _merge_atoms(pairs, canonical, key):
+    """Sum finite, non-negative masses by ``canonical`` location, sorted by
+    ``key``; zero masses are dropped after their location is checked."""
+    merged = {}
+    for p, m in pairs:
+        m = _finite(m, "atom mass")
+        if m < -MASS_TOL:
+            raise MeasureValidationError(f"negative atom mass {m!r}")
+        cp = canonical(p)
+        if m > 0.0:
+            merged[cp] = merged.get(cp, 0.0) + m
+    return sorted(merged.items(), key=lambda it: key(it[0]))
+
+
+def _piece_values(a, b, d, where: str) -> tuple[float, float, float]:
+    """A piece's bounds and density as finite floats, the density not negative."""
+    a, b, d = float(a), float(b), float(d)
+    if not all(map(math.isfinite, (a, b, d))):
+        raise MeasureValidationError(f"non-finite piece [{a!r}, {b!r}) density {d!r}{where}")
+    if d < -MASS_TOL:
+        raise MeasureValidationError(f"negative density {d!r} on [{a!r}, {b!r}){where}")
+    return a, b, d
+
+
+def _check_unit_mass(total: float, what: str = "total mass", tol: float = UNIT_MASS_TOL):
+    if not abs(total - 1.0) <= tol:
+        raise MeasureValidationError(f"{what} {total!r} is not 1")
+
+
+def _check_grid(h: float) -> None:
+    if not 0.0 < h < math.inf:
+        raise MeasureValidationError(f"grid spacing must be positive and finite, got {h!r}")
+
+
+def _check_weights(lams) -> None:
+    """Barycenter weights: at least one, each positive, summing to 1."""
+    if not lams:
+        raise MeasureValidationError("barycenter problem with no measures")
+    for lam in lams:
+        if not lam > 0.0:
+            raise MeasureValidationError(f"nonpositive weight {lam!r}")
+    _check_unit_mass(sum(lams), "weight sum", MASS_TOL)

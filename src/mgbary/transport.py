@@ -32,10 +32,8 @@ from .metric_graph import (
     is_edge_minimizing,
     parse_point,
 )
-
-MASS_TOL = 1e-12
-MARGINAL_TOL = 1e-10
-COST_TOL = 1e-9
+from .tolerances import LENGTH_TOL, LP_ZERO_TOL, MARGINAL_TOL, MASS_TOL, REL_TOL
+from .tolerances import _check_grid, _check_unit_mass, _finite, _merge_atoms, _piece_values
 
 
 @dataclass(frozen=True)
@@ -69,32 +67,15 @@ def graph_measure(
     pieces: Iterable[tuple[str, float, float, float]] = (),
 ) -> GraphMeasure:
     """Canonicalize and validate a measure on ``g``."""
-    merged: dict[GraphPoint, float] = {}
-    for p, m in atoms:
-        m = float(m)
-        if not math.isfinite(m):
-            raise MeasureValidationError(f"non-finite atom mass {m!r}")
-        if m < -MASS_TOL:
-            raise MeasureValidationError(f"negative atom mass {m!r}")
-        if m <= 0.0:
-            continue
-        cp = g.canonical(p)
-        merged[cp] = merged.get(cp, 0.0) + m
-    atoms_t = tuple(sorted(merged.items(), key=lambda it: it[0].sort_key()))
+    atoms_t = tuple(_merge_atoms(atoms, g.canonical, GraphPoint.sort_key))
 
     per_edge: dict[str, list[tuple[float, float, float]]] = {}
     for eid, a, b, d in pieces:
         e = g.edge(eid)
-        a, b, d = float(a), float(b), float(d)
-        if not all(map(math.isfinite, (a, b, d))):
-            raise MeasureValidationError(
-                f"non-finite piece [{a!r}, {b!r}) density {d!r} on edge {eid!r}"
-            )
-        if d < -MASS_TOL:
-            raise MeasureValidationError(f"negative density {d!r} on edge {eid!r}")
+        a, b, d = _piece_values(a, b, d, f" of edge {eid!r}")
         if b <= a:
             continue
-        if a < -1e-9 or b > e.length + 1e-9:
+        if a < -LENGTH_TOL or b > e.length + LENGTH_TOL:
             raise MeasureValidationError(
                 f"piece [{a!r}, {b!r}) outside edge {eid!r} of length {e.length!r}"
             )
@@ -109,9 +90,7 @@ def graph_measure(
                 raise MeasureValidationError(f"overlapping pieces on edge {eid!r}")
         pieces_l.extend((eid, a, b, d) for a, b, d in runs)
     m = GraphMeasure(atoms=atoms_t, pieces=tuple(pieces_l))
-    total = m.total_mass()
-    if abs(total - 1.0) > 1e-9:
-        raise MeasureValidationError(f"total mass {total!r} is not 1")
+    _check_unit_mass(m.total_mass())
     return m
 
 
@@ -129,21 +108,10 @@ class DiscreteMeasure:
 def discrete_measure(
     g: MetricGraph, pairs: Iterable[tuple[GraphPoint, float]]
 ) -> DiscreteMeasure:
-    merged: dict[GraphPoint, float] = {}
-    for p, w in pairs:
-        w = float(w)
-        if w < -MASS_TOL:
-            raise MeasureValidationError(f"negative weight {w!r}")
-        if w <= 0.0:
-            continue
-        cp = g.canonical(p)
-        merged[cp] = merged.get(cp, 0.0) + w
-    if not merged:
+    items = _merge_atoms(pairs, g.canonical, GraphPoint.sort_key)
+    if not items:
         raise MeasureValidationError("discrete measure with empty support")
-    items = sorted(merged.items(), key=lambda it: it[0].sort_key())
-    total = sum(w for _, w in items)
-    if abs(total - 1.0) > 1e-9:
-        raise MeasureValidationError(f"weights sum to {total!r}, expected 1")
+    _check_unit_mass(sum(w for _, w in items), "weight sum")
     return DiscreteMeasure(
         points=tuple(p for p, _ in items), weights=tuple(w for _, w in items)
     )
@@ -185,7 +153,7 @@ def _make_plan(g: MetricGraph, entries) -> TransportPlan:
 
 def _edge_cells(length: float, h: float) -> tuple[int, float]:
     """Number and width of the equal cells of spacing at most ``h`` on a length."""
-    n = max(1, math.ceil(length / h - 1e-12))
+    n = max(1, math.ceil(length / h - REL_TOL))
     return n, length / n
 
 
@@ -196,8 +164,7 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
     mass placed at the cell centers, so mass is conserved and no spurious
     vertex atoms appear.
     """
-    if not h > 0.0:
-        raise MeasureValidationError(f"grid spacing must be positive, got {h!r}")
+    _check_grid(h)
     pairs: list[tuple[GraphPoint, float]] = list(m.atoms)
     for eid, a, b, d in m.pieces:
         n, width = _edge_cells(b - a, h)
@@ -207,8 +174,14 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
     return discrete_measure(g, pairs)
 
 
-def _marginal_residual(weights: Sequence[float], sums: np.ndarray) -> float:
-    return float(np.max(np.abs(np.asarray(weights) - sums))) if len(weights) else 0.0
+def _check_marginals(plan: np.ndarray, rows: Sequence[float], cols: Sequence[float]):
+    """Raise if a solved coupling's row or column sums drift from their weights."""
+    residual = max(
+        float(np.max(np.abs(np.asarray(w) - plan.sum(axis=axis))))
+        for axis, w in ((1, rows), (0, cols))
+    )
+    if not residual <= MARGINAL_TOL:
+        raise SolverConsistencyError(f"plan marginal residual {residual!r} exceeds {MARGINAL_TOL}")
 
 
 def _cost_matrix(
@@ -244,7 +217,7 @@ def w2_graph(
     Raises
     ------
     SolverConsistencyError
-        If the solver fails or the plan's marginals drift beyond 1e-10.
+        If the solver fails or the plan's marginals drift beyond ``MARGINAL_TOL``.
     """
     n, k = len(m1.points), len(m2.points)
     if n == 1:
@@ -267,14 +240,8 @@ def w2_graph(
     if not res.success:
         raise SolverConsistencyError(f"transport LP failed: {res.message}")
     x = res.x.reshape(n, k)
-    x[x < 1e-13] = 0.0
-
-    row_res = _marginal_residual(m1.weights, x.sum(axis=1))
-    col_res = _marginal_residual(m2.weights, x.sum(axis=0))
-    if max(row_res, col_res) > MARGINAL_TOL:
-        raise SolverConsistencyError(
-            f"plan marginal residual {max(row_res, col_res)!r} exceeds {MARGINAL_TOL}"
-        )
+    x[x < LP_ZERO_TOL] = 0.0
+    _check_marginals(x, m1.weights, m2.weights)
 
     entries = [
         (m1.points[i], m2.points[j], float(x[i, j]))
@@ -316,12 +283,12 @@ def classify_pair(
         raise ValueError(f"point {x} is not on edge {oe.edge!r}")
     d = distance(g, x, y)
     ay = g.oriented_offset(oe, y)
-    if ay is not None and abs(ay - ax) <= d + COST_TOL:
+    if ay is not None and abs(ay - ax) <= d + LENGTH_TOL:
         return BranchTag.E
     e0, e1 = g.oriented_endpoints(oe)
-    if (e.length - ax) + distance(g, GraphPoint.at_vertex(e1), y) <= d + COST_TOL:
+    if (e.length - ax) + distance(g, GraphPoint.at_vertex(e1), y) <= d + LENGTH_TOL:
         return BranchTag.PLUS
-    if ax + distance(g, GraphPoint.at_vertex(e0), y) <= d + COST_TOL:
+    if ax + distance(g, GraphPoint.at_vertex(e0), y) <= d + LENGTH_TOL:
         return BranchTag.MINUS
     raise SolverConsistencyError(
         f"no geodesic class matches pair ({x}, {y}) on edge {oe.edge!r}"
@@ -386,7 +353,7 @@ def restrict(
         cp = g.canonical(p)
         if cp not in weights:
             raise MeasureValidationError(f"part1 has mass at {cp} outside the measure")
-        w = float(w)
+        w = _finite(w, "part1 mass")
         if w < -MASS_TOL or w > weights[cp] + MASS_TOL:
             raise MeasureValidationError(
                 f"part1 mass {w!r} at {cp} exceeds the measure's {weights[cp]!r}"
@@ -452,7 +419,7 @@ def graph_measure_from_json(g: MetricGraph, obj: dict) -> GraphMeasure:
             for rec in obj.get("pieces", [])
         ]
         return graph_measure(g, atoms=atoms, pieces=pieces)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise MeasureValidationError(f"malformed measure record: {exc}") from None
     except ValueError as exc:  # unknown edge or vertex id, offset off its edge
         raise MeasureValidationError(str(exc)) from None

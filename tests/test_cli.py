@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -289,6 +290,55 @@ def test_unknown_edge_id_is_a_json_error(command, code, tmp_path):
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"] == code
     assert "unknown edge id 'zz'" in json.loads(proc.stdout)["detail"]
+    assert "Traceback" not in proc.stderr
+
+
+def _problem_with(path, value):
+    problem = tripod_problem()
+    *keys, last = path
+    obj = problem
+    for key in keys:
+        obj = obj[key]
+    obj[last] = value
+    return problem
+
+
+@pytest.mark.parametrize(
+    "problem, extra, env, code, detail",
+    [
+        (_problem_with(("measures", 0, "weight"), "abc"), [], {}, "parse-error", "measure record: could not"),
+        (_problem_with(("grid",), "abc"), [], {}, "parse-error", "problem file: could not"),
+        (_problem_with(("grid",), None), [], {}, "parse-error", "problem file: float()"),
+        (tripod_problem(), [], {"MGBARY_SUPPORT_CAP": "abc"}, "parse-error", "MGBARY_SUPPORT_CAP"),
+        (tripod_problem(), ["--atom-tol", "nan"], {}, "parse-error", "--atom-tol"),
+        (tripod_problem(), ["--atom-tol", "-1"], {}, "parse-error", "--atom-tol"),
+        (_problem_with(("measures",), 5), [], {}, "parse-error", "not iterable"),
+        (_problem_with(("measures", 0), 5), [], {}, "parse-error", "not subscriptable"),
+        (_problem_with(("measures", 0, "measure"), 5), [], {}, "invalid-measure", "malformed"),
+        (
+            _problem_with(("measures", 0, "measure", "atoms"), [{"point": 5, "mass": 1.0}]),
+            [], {}, "invalid-measure", "malformed",
+        ),
+    ],
+    ids=[
+        "weight-abc", "grid-abc", "grid-null", "support-cap-abc", "atom-tol-nan",
+        "atom-tol-negative", "measures-not-a-list", "record-not-an-object",
+        "measure-not-an-object", "point-not-a-string",
+    ],
+)
+def test_malformed_problem_input_is_a_json_error(problem, extra, env, code, detail, tmp_path):
+    ppath = tmp_path / "problem.json"
+    ppath.write_text(json.dumps(problem))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgbary.cli", "report", "--problem", str(ppath), *extra],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == code
+    assert detail in out["detail"] and "missing" not in out["detail"]
     assert "Traceback" not in proc.stderr
 
 

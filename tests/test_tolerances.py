@@ -1,0 +1,183 @@
+import math
+import pathlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mgbary.barycenter
+from mgbary import (
+    GraphPoint,
+    LineMeasure,
+    MeasureValidationError,
+    SolverConsistencyError,
+    average_quantile,
+    barycenter_problem,
+    discrete_measure,
+    discretize,
+    graph_measure,
+    line_measure,
+    quantile,
+    restrict,
+    solve_lp,
+)
+from conftest import make_tripod, tripod_outer_halves
+
+V = GraphPoint.at_vertex
+E = GraphPoint.on_edge
+NAN, INF = math.nan, math.inf
+SRC = pathlib.Path(mgbary.barycenter.__file__).parent
+
+
+class TestToleranceTable:
+    def test_no_tolerance_literal_outside_the_table(self):
+        # the one allowed literal is the fixed point's default step, eps = 1e-6 * length
+        allowed = re.compile(r"1e-6 \* (e\.)?length")
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "tolerances.py":
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if re.search(r"\d[eE]-\d", allowed.sub("", line)):
+                    found.append(f"{path.name}:{lineno}: {line.strip()}")
+        assert found == []
+
+
+class TestNonFiniteRejected:
+    def test_nan_weight_in_discrete_measure(self):
+        g = make_tripod()
+        with pytest.raises(MeasureValidationError, match="non-finite atom mass"):
+            discrete_measure(g, [(V("o"), 1.0), (V("t1"), NAN)])
+
+    def test_nan_piece_bound_in_line_measure(self):
+        with pytest.raises(MeasureValidationError, match="non-finite piece"):
+            line_measure(pieces=[(0.0, NAN, 1.0)])
+
+    def test_nan_density_in_line_measure(self):
+        with pytest.raises(MeasureValidationError, match="non-finite piece"):
+            line_measure(atoms=[(0.0, 1.0)], pieces=[(0.0, 1.0, NAN)])
+
+    def test_nan_atom_mass_in_line_measure(self):
+        with pytest.raises(MeasureValidationError, match="non-finite atom mass"):
+            line_measure(atoms=[(0.0, 1.0), (0.5, NAN)])
+
+    def test_nan_part1_mass_in_restrict(self):
+        g = make_tripod()
+        m = discrete_measure(g, [(V("t1"), 0.5), (V("t2"), 0.5)])
+        with pytest.raises(MeasureValidationError, match="non-finite part1 mass"):
+            restrict(g, m, {V("t1"): NAN, V("t2"): 0.25}, m)
+
+    def test_quantile_of_an_unvalidated_nan_measure(self):
+        with pytest.raises(MeasureValidationError, match="is not 1"):
+            quantile(LineMeasure(atoms=((0.0, NAN),)))
+
+    @pytest.mark.parametrize("weight", [NAN, INF])
+    def test_non_finite_barycenter_weight(self, weight):
+        g = make_tripod()
+        nu = graph_measure(g, atoms=[(V("o"), 1.0)])
+        with pytest.raises(MeasureValidationError):
+            barycenter_problem(g, [(weight, nu), (0.5, nu)], grid=0.1)
+        with pytest.raises(MeasureValidationError):
+            average_quantile([(weight, line_measure(atoms=[(0.0, 1.0)]))])
+
+    @pytest.mark.parametrize("grid", [NAN, INF])
+    def test_non_finite_grid(self, grid):
+        g = make_tripod()
+        nu = graph_measure(g, atoms=[(V("o"), 1.0)])
+        with pytest.raises(MeasureValidationError, match="grid spacing"):
+            barycenter_problem(g, [(1.0, nu)], grid=grid)
+        with pytest.raises(MeasureValidationError, match="grid spacing"):
+            discretize(g, nu, grid)
+
+
+class TestZeroMassAtoms:
+    # every atom's location is checked, whatever its mass
+    def test_zero_mass_at_unknown_vertex_rejected(self):
+        g = make_tripod()
+        with pytest.raises(ValueError, match="unknown vertex id 'zz'"):
+            graph_measure(g, atoms=[(V("o"), 1.0), (V("zz"), 0.0)])
+        with pytest.raises(ValueError, match="unknown vertex id 'zz'"):
+            discrete_measure(g, [(V("o"), 1.0), (V("zz"), 0.0)])
+
+    def test_zero_mass_at_a_known_point_is_dropped(self):
+        g = make_tripod()
+        m = discrete_measure(g, [(V("o"), 1.0), (E("b1", 0.5), 0.0)])
+        assert m.points == (V("o"),) and m.weights == (1.0,)
+
+
+class TestSolveLpChecksItsCouplings:
+    def test_drifted_coupling_is_reported(self, monkeypatch):
+        real = mgbary.barycenter.linprog
+
+        def drifted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            n = len(mgbary.barycenter.candidate_support(problem))
+            res.x[n] += 1e-6  # first entry of the first coupling
+            return res
+
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
+        solve_lp(problem)
+        monkeypatch.setattr(mgbary.barycenter, "linprog", drifted)
+        with pytest.raises(SolverConsistencyError, match="marginal residual"):
+            solve_lp(problem)
+
+
+# masses, bounds and densities: half of them values that can add up to a
+# valid measure, the rest NaN, the infinities, negatives and arbitrary floats
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.sampled_from([NAN, INF, -INF, -0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+TRIPOD = make_tripod()
+GRAPH_POINTS = st.one_of(
+    st.sampled_from([V(v) for v in TRIPOD.vertices]),
+    st.builds(E, st.sampled_from(["b1", "b2", "b3"]), st.floats(0.0, 1.0)),
+)
+
+
+def _all_finite(*values) -> bool:
+    return bool(np.isfinite(np.asarray(values, dtype=float)).all())
+
+
+class TestConstructorsFuzz:
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(GRAPH_POINTS, NUMBERS), max_size=3),
+        st.lists(st.tuples(st.sampled_from(["b1", "b2"]), NUMBERS, NUMBERS, NUMBERS), max_size=2),
+    )
+    def test_graph_measure(self, atoms, pieces):
+        try:
+            m = graph_measure(TRIPOD, atoms=atoms, pieces=pieces)
+        except MeasureValidationError:
+            return
+        assert _all_finite(
+            *(w for _, w in m.atoms),
+            *(p.offset for p, _ in m.atoms),
+            *(x for _, a, b, d in m.pieces for x in (a, b, d)),
+        )
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(GRAPH_POINTS, NUMBERS), max_size=4))
+    def test_discrete_measure(self, pairs):
+        try:
+            m = discrete_measure(TRIPOD, pairs)
+        except MeasureValidationError:
+            return
+        assert _all_finite(*m.weights, *(p.offset for p in m.points))
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(NUMBERS, NUMBERS), max_size=3),
+        st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), max_size=2),
+    )
+    def test_line_measure(self, atoms, pieces):
+        try:
+            m = line_measure(atoms=atoms, pieces=pieces)
+        except MeasureValidationError:
+            return
+        assert _all_finite(*(x for a in m.atoms for x in a), *(x for p in m.pieces for x in p))
