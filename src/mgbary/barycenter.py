@@ -43,7 +43,8 @@ from .transport import (
     graph_measure,
     w2_graph,
 )
-from .tolerances import CELL_NUDGE, LP_ZERO_TOL, SNAP_TOL, _check_grid, _check_weights
+from .tolerances import CELL_NUDGE, LP_ZERO_TOL, REL_TOL, SNAP_TOL
+from .tolerances import _check_grid, _check_threshold, _check_weights
 
 DEFAULT_SUPPORT_CAP = 2_000_000
 SUPPORT_CAP_ENV = "MGBARY_SUPPORT_CAP"
@@ -97,6 +98,20 @@ def candidate_support(problem: BarycenterProblem) -> list[GraphPoint]:
     return points
 
 
+def _check_dual_certificate(cost: np.ndarray, a_eq, b_eq: np.ndarray, res) -> None:
+    """Raise unless the LP's equality duals ``y`` prove ``res.x`` optimal:
+    every reduced cost ``c - A^T y`` is at least ``-tol`` and the duality gap
+    ``|c^T x - b^T y|`` is at most ``tol``, with ``tol = REL_TOL * max(1, max c)``."""
+    y = res.eqlin.marginals
+    tol = REL_TOL * max(1.0, float(cost.max()))
+    reduced = float(np.min(cost - a_eq.T @ y))
+    gap = abs(float(cost @ res.x) - float(b_eq @ y))
+    if not (reduced >= -tol and gap <= tol):
+        raise SolverConsistencyError(
+            f"dual certificate fails: min reduced cost {reduced!r}, gap {gap!r}, tolerance {tol!r}"
+        )
+
+
 def solve_lp(
     problem: BarycenterProblem, support_cap: int | None = None
 ) -> tuple[DiscreteMeasure, float]:
@@ -105,7 +120,9 @@ def solve_lp(
     Joint variables are the barycenter weights and one coupling per input;
     the constraints tie each coupling's first marginal to the weights and its
     second to the discretized input. The optimum is exact for the discretized
-    problem since everything is jointly linear.
+    problem since everything is jointly linear. HiGHS solves it by interior
+    point with crossover to a vertex; the answer is accepted only after its
+    couplings' marginals and a dual certificate of optimality are checked.
 
     Raises
     ------
@@ -115,7 +132,8 @@ def solve_lp(
     ParseError
         If ``MGBARY_SUPPORT_CAP`` is not an integer.
     SolverConsistencyError
-        If the solver fails or a coupling's marginals drift beyond ``MARGINAL_TOL``.
+        If the solver fails, a coupling's marginals drift beyond ``MARGINAL_TOL``,
+        or the duals do not certify the solution optimal.
     """
     if support_cap is None:
         raw = os.environ.get(SUPPORT_CAP_ENV, DEFAULT_SUPPORT_CAP)
@@ -171,7 +189,7 @@ def solve_lp(
         shape=(row0, nvars),
     )
     b_eq = np.concatenate(b_parts)
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
     if not res.success:
         raise SolverConsistencyError(f"barycenter LP failed: {res.message}")
     w = np.maximum(res.x[:n], 0.0)
@@ -180,6 +198,7 @@ def solve_lp(
     for (_, target), k in zip(targets, sizes):
         _check_marginals(res.x[offset : offset + n * k].reshape(n, k), w, target.weights)
         offset += n * k
+    _check_dual_certificate(cost, a_eq, b_eq, res)
     w /= w.sum()
     mu = discrete_measure(
         g, [(p, float(wi)) for p, wi in zip(support, w) if wi > 0.0]
@@ -316,7 +335,8 @@ def solve_edge_fixed_point(
     fixed spacing-``grid`` cell grid. Stops when the transport distance
     between successive iterates drops to ``eps`` (default ``1e-6 * length``).
     Non-convergence within ``max_iter`` is reported honestly via the
-    ``converged`` flag; the LP solver remains the ground truth.
+    ``converged`` flag; the LP solver remains the ground truth. A NaN,
+    infinite or negative ``eps`` raises ``ParseError``.
     """
     if isinstance(oe, str):
         oe = OrientedEdge(oe)
@@ -324,6 +344,7 @@ def solve_edge_fixed_point(
     e = g.edge(oe.edge)
     if eps is None:
         eps = 1e-6 * e.length
+    _check_threshold(eps, "eps")
     h = problem.grid
     targets = _targets(problem)
 
@@ -393,7 +414,8 @@ def regularity_report(
     The default threshold is five times the per-cell ceiling a purely
     absolutely continuous barycenter could reach at this grid:
     ``5 * lambda_ac * grid * max_input_density``, where ``lambda_ac`` is the
-    total weight on density-carrying inputs.
+    total weight on density-carrying inputs. A NaN, infinite or negative
+    ``atom_tol`` raises ``ParseError``.
     """
     h = problem.grid
     lambda_ac = sum(lam for lam, nu in problem.measures if nu.has_density)
@@ -405,6 +427,7 @@ def regularity_report(
     )
     if atom_tol is None:
         atom_tol = 5.0 * lambda_ac * h * max_density
+    _check_threshold(atom_tol, "atom_tol")
 
     interior = []
     vertex = []

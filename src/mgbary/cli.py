@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -33,6 +32,7 @@ from .metric_graph import (
     format_point,
     parse_point,
 )
+from .tolerances import _check_threshold
 from .transport import (
     DiscreteMeasure,
     discretize,
@@ -196,8 +196,8 @@ def _cmd_bary(args) -> dict:
 
 
 def _cmd_report(args) -> dict:
-    if args.atom_tol is not None and not 0.0 <= args.atom_tol < math.inf:
-        raise ParseError(f"--atom-tol must be finite and not negative, got {args.atom_tol!r}")
+    if args.atom_tol is not None:  # before the LP solve, not after it
+        _check_threshold(args.atom_tol, "--atom-tol")
     problem = _load_problem(args.problem, args.grid)
     mu, value = solve_lp(problem)
     report = regularity_report(problem, mu, atom_tol=args.atom_tol)

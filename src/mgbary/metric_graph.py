@@ -120,7 +120,9 @@ class MetricGraph:
         for e in edges:
             i, j = self._index[e.u], self._index[e.v]
             lengths[i, j] = lengths[j, i] = min(lengths[i, j], e.length)
-        self._dist: list[list[float]] = csgraph.dijkstra(lengths).tolist()
+        # the array serves whole cost matrices, the nested lists single distances
+        self._table = csgraph.dijkstra(lengths)
+        self._dist: list[list[float]] = self._table.tolist()
         self._minimizing = {
             e.id: self.vertex_distance(e.u, e.v) >= e.length - REL_TOL * max(1.0, e.length)
             for e in edges
@@ -191,8 +193,12 @@ def build_graph(spec: Mapping) -> MetricGraph:
     try:
         raw_vertices = list(spec["vertices"])
         raw_edges = list(spec["edges"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GraphValidationError(f"graph description missing field: {exc}") from None
+    except TypeError:
+        raise GraphValidationError(
+            "graph description must be an object with 'vertices' and 'edges' lists"
+        ) from None
 
     vertices = tuple(str(v) for v in raw_vertices)
     if not vertices:

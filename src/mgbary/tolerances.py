@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import MeasureValidationError
+from .errors import MeasureValidationError, ParseError
 
 SNAP_TOL = 1e-12  # an offset this close to an edge endpoint is that vertex
 LENGTH_TOL = 1e-9  # two lengths (offsets, route costs, branch-map values) agree
@@ -15,7 +15,7 @@ MASS_TOL = 1e-12  # slack on negative masses, piece overlaps and weight sums
 UNIT_MASS_TOL = 1e-9  # a measure's total mass must be 1 within this
 LP_ZERO_TOL = 1e-13  # LP solution entries below this are zero
 MARGINAL_TOL = 1e-10  # largest marginal residual a solved coupling may have
-REL_TOL = 1e-12  # relative slack of grid cell counts and minimizing-edge tests
+REL_TOL = 1e-12  # relative slack of cell counts, minimizing-edge tests, LP dual certificates
 CELL_NUDGE = 1e-15  # keeps a piece ending on a cell boundary out of the next cell
 
 
@@ -68,3 +68,9 @@ def _check_weights(lams) -> None:
         if not lam > 0.0:
             raise MeasureValidationError(f"nonpositive weight {lam!r}")
     _check_unit_mass(sum(lams), "weight sum", MASS_TOL)
+
+
+def _check_threshold(x: float, what: str) -> None:
+    """A caller's stopping or flagging threshold: finite and not negative."""
+    if not 0.0 <= x < math.inf:
+        raise ParseError(f"{what} must be finite and not negative, got {x!r}")

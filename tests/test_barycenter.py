@@ -6,6 +6,7 @@ import pytest
 from mgbary import (
     GraphPoint,
     MeasureValidationError,
+    ParseError,
     QuantileFn,
     SupportCapError,
     average_quantile,
@@ -311,3 +312,21 @@ class TestInputValidation:
         nu = graph_measure(tripod, atoms=[(V("o"), 1.0)])
         with pytest.raises(MeasureValidationError, match="positive"):
             barycenter_problem(tripod, [(1.0, nu)], grid=0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+    def test_fixed_point_rejects_bad_eps(self, eps):
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
+        with pytest.raises(ParseError, match="eps must be finite and not negative"):
+            solve_edge_fixed_point(problem, "b1", eps=eps)
+
+    @pytest.mark.parametrize("atom_tol", [math.nan, math.inf, -1e-3])
+    def test_report_rejects_bad_atom_tol(self, atom_tol):
+        # a NaN threshold flags nothing, which read as PASS for any measure
+        g = make_tripod()
+        nu = graph_measure(g, pieces=[("b1", 0.0, 1.0, 1.0)])
+        problem = barycenter_problem(g, [(1.0, nu)], grid=0.25)
+        mu = discretize(g, nu, 0.25)
+        assert regularity_report(problem, mu, atom_tol=0.0).verdict == "FAIL"
+        with pytest.raises(ParseError, match="atom_tol must be finite and not negative"):
+            regularity_report(problem, mu, atom_tol=atom_tol)

@@ -315,6 +315,7 @@ def _problem_with(path, value):
         (_problem_with(("measures",), 5), [], {}, "parse-error", "not iterable"),
         (_problem_with(("measures", 0), 5), [], {}, "parse-error", "not subscriptable"),
         (_problem_with(("measures", 0, "measure"), 5), [], {}, "invalid-measure", "malformed"),
+        (_problem_with(("graph",), 5), [], {}, "invalid-graph", "must be an object"),
         (
             _problem_with(("measures", 0, "measure", "atoms"), [{"point": 5, "mass": 1.0}]),
             [], {}, "invalid-measure", "malformed",
@@ -323,7 +324,7 @@ def _problem_with(path, value):
     ids=[
         "weight-abc", "grid-abc", "grid-null", "support-cap-abc", "atom-tol-nan",
         "atom-tol-negative", "measures-not-a-list", "record-not-an-object",
-        "measure-not-an-object", "point-not-a-string",
+        "measure-not-an-object", "graph-a-number", "point-not-a-string",
     ],
 )
 def test_malformed_problem_input_is_a_json_error(problem, extra, env, code, detail, tmp_path):
@@ -339,6 +340,25 @@ def test_malformed_problem_input_is_a_json_error(problem, extra, env, code, deta
     out = json.loads(proc.stdout)
     assert out["error"] == code
     assert detail in out["detail"] and "missing" not in out["detail"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_nan_eps_is_a_json_error(tmp_path):
+    # a NaN eps never compares true, so the loop used to run all its iterations
+    ppath = tmp_path / "problem.json"
+    ppath.write_text(json.dumps(tripod_problem()))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "mgbary.cli", "bary", "--problem", str(ppath),
+            "--method", "fixed-point", "--edge", "b1", "--eps", "nan",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == "parse-error"
+    assert "eps must be finite and not negative" in out["detail"]
     assert "Traceback" not in proc.stderr
 
 

@@ -168,28 +168,40 @@ class TestPreimageCount:
         rng = random.Random(71)
         for tag in (BranchTag.PLUS, BranchTag.MINUS, BranchTag.E):
             exc = exceptional_set(ctx, tag)
+            samples = self._samples(triangle, ctx, tag)
             for _ in range(20):
                 x = rng.uniform(-2.5, 3.0)
                 if min(abs(x - d) for d in exc) < 1e-3:
                     continue
-                oracle = self._sampled_count(triangle, ctx, tag, x)
+                oracle = self._sampled_count(samples, x)
                 assert preimage_count(ctx, tag, x) == oracle
 
     @staticmethod
-    def _sampled_count(g, ctx, tag, x_tilde, step=1e-4):
-        """Count sign changes of h - x_tilde along densely sampled edges."""
+    def _samples(g, ctx, tag, step=1e-4):
+        """h sampled densely along each edge the tag reaches; h does not depend
+        on the query, so one sampling serves every query."""
         base_edge = ctx.edge.edge
-        count = 0
+        out = []
         for e in g.edges:
             if tag is BranchTag.E and e.id != base_edge:
                 continue
             if tag is not BranchTag.E and e.id == base_edge:
                 continue
             n = int(e.length / step)
+            out.append([
+                h_eval(ctx, tag, g.canonical(E(e.id, min(e.length * k / n, e.length))))
+                for k in range(n + 1)
+            ])
+        return out
+
+    @staticmethod
+    def _sampled_count(samples, x_tilde):
+        """Count sign changes of h - x_tilde along the sampled edges."""
+        count = 0
+        for values in samples:
             prev = None
-            for k in range(n + 1):
-                t = min(e.length * k / n, e.length)
-                val = h_eval(ctx, tag, g.canonical(E(e.id, t))) - x_tilde
+            for h in values:
+                val = h - x_tilde
                 if prev is not None and (prev < 0) != (val < 0):
                     count += 1
                 prev = val

@@ -47,6 +47,17 @@ class TestBuild:
                 }
             )
 
+    @pytest.mark.parametrize("spec", [5, [], "graph.json", None])
+    def test_non_object_description_rejected(self, spec):
+        with pytest.raises(
+            GraphValidationError, match="must be an object with 'vertices' and 'edges' lists"
+        ):
+            build_graph(spec)
+
+    def test_missing_field_named(self):
+        with pytest.raises(GraphValidationError, match="missing field: 'edges'"):
+            build_graph({"vertices": ["A", "B"]})
+
     def test_infinite_length_rejected(self):
         with pytest.raises(GraphValidationError, match="non-finite length inf"):
             build_graph(

@@ -125,6 +125,32 @@ class TestSolveLpChecksItsCouplings:
             solve_lp(problem)
 
 
+class TestSolveLpChecksItsCertificate:
+    @staticmethod
+    def _worst_point(real, c, **kwargs):
+        # feasible but the most expensive vertex: duals of the negated cost
+        return real(-c, **kwargs)
+
+    @staticmethod
+    def _shifted_duals(real, c, **kwargs):
+        res = real(c, **kwargs)
+        res.eqlin.marginals[-1] += 1e-6  # the total-mass row, right-hand side 1
+        return res
+
+    @pytest.mark.parametrize("fault", ["_worst_point", "_shifted_duals"])
+    def test_non_optimal_answer_is_reported(self, monkeypatch, fault):
+        real = mgbary.barycenter.linprog
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
+        solve_lp(problem)
+        wrapper = getattr(self, fault)
+        monkeypatch.setattr(
+            mgbary.barycenter, "linprog", lambda c, **kwargs: wrapper(real, c, **kwargs)
+        )
+        with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
+            solve_lp(problem)
+
+
 # masses, bounds and densities: half of them values that can add up to a
 # valid measure, the rest NaN, the infinities, negatives and arbitrary floats
 NUMBERS = st.one_of(
