@@ -13,16 +13,13 @@ clamped-quantile characterization of edge-supported barycenters.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from .covering import make_cover_context, measure_on_edge_as_line, phi
-from .errors import ParseError, SolverConsistencyError, SupportCapError
 from .line_ot import (
     LineMeasure,
     QuantileFn,
@@ -34,21 +31,18 @@ from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
     GraphMeasure,
-    _check_marginals,
+    _accepted,
+    _check_size,
     _cost_matrix,
-    _coupling_rows,
+    _coupling_lp,
     _edge_cells,
     discrete_measure,
     discretize,
     graph_measure,
     w2_graph,
 )
-from .tolerances import CELL_NUDGE, LP_ZERO_TOL, REL_TOL, SNAP_TOL
+from .tolerances import CELL_NUDGE, SNAP_TOL
 from .tolerances import _check_grid, _check_threshold, _check_weights
-
-DEFAULT_SUPPORT_CAP = 2_000_000
-SUPPORT_CAP_ENV = "MGBARY_SUPPORT_CAP"
-
 
 @dataclass(frozen=True)
 class BarycenterProblem:
@@ -98,23 +92,7 @@ def candidate_support(problem: BarycenterProblem) -> list[GraphPoint]:
     return points
 
 
-def _check_dual_certificate(cost: np.ndarray, a_eq, b_eq: np.ndarray, res) -> None:
-    """Raise unless the LP's equality duals ``y`` prove ``res.x`` optimal:
-    every reduced cost ``c - A^T y`` is at least ``-tol`` and the duality gap
-    ``|c^T x - b^T y|`` is at most ``tol``, with ``tol = REL_TOL * max(1, max c)``."""
-    y = res.eqlin.marginals
-    tol = REL_TOL * max(1.0, float(cost.max()))
-    reduced = float(np.min(cost - a_eq.T @ y))
-    gap = abs(float(cost @ res.x) - float(b_eq @ y))
-    if not (reduced >= -tol and gap <= tol):
-        raise SolverConsistencyError(
-            f"dual certificate fails: min reduced cost {reduced!r}, gap {gap!r}, tolerance {tol!r}"
-        )
-
-
-def solve_lp(
-    problem: BarycenterProblem, support_cap: int | None = None
-) -> tuple[DiscreteMeasure, float]:
+def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     """Exact barycenter of the discretized problem over the candidate grid.
 
     Joint variables are the barycenter weights and one coupling per input;
@@ -127,78 +105,26 @@ def solve_lp(
     Raises
     ------
     SupportCapError
-        If the LP would exceed the variable cap (``MGBARY_SUPPORT_CAP``
-        overrides the default).
+        If the LP or an edge's cell grid would exceed the cap
+        (``MGBARY_SUPPORT_CAP`` overrides the default).
     ParseError
         If ``MGBARY_SUPPORT_CAP`` is not an integer.
     SolverConsistencyError
         If the solver fails, a coupling's marginals drift beyond ``MARGINAL_TOL``,
         or the duals do not certify the solution optimal.
     """
-    if support_cap is None:
-        raw = os.environ.get(SUPPORT_CAP_ENV, DEFAULT_SUPPORT_CAP)
-        try:
-            support_cap = int(raw)
-        except ValueError:
-            raise ParseError(f"{SUPPORT_CAP_ENV} must be an integer, got {raw!r}") from None
     g = problem.graph
     support = candidate_support(problem)
     targets = _targets(problem)
     n = len(support)
-    sizes = [len(t.points) for _, t in targets]
-    nvars = n + n * sum(sizes)
-    if nvars > support_cap:
-        raise SupportCapError(
-            f"candidate support needs {nvars} LP variables, above the cap "
-            f"{support_cap}; coarsen the grid or raise {SUPPORT_CAP_ENV}"
-        )
+    _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
 
-    cost = np.zeros(nvars)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    b_parts: list[np.ndarray] = []
-    row0 = 0
-    offset = n
-    for (lam, target), k in zip(targets, sizes):
-        cost[offset : offset + n * k] = lam * _cost_matrix(g, support, target.points).ravel()
-
-        # row sums of this coupling equal the barycenter weights, column sums
-        # the discretized input
-        r, c = _coupling_rows(n, k)
-        rows.append(r + row0)
-        cols.append(c + offset)
-        vals.append(np.ones(2 * n * k))
-        rows.append(np.arange(n) + row0)
-        cols.append(np.arange(n))
-        vals.append(-np.ones(n))
-        b_parts.append(np.zeros(n))
-        b_parts.append(np.asarray(target.weights))
-        row0 += n + k
-        offset += n * k
-
-    # total barycenter mass
-    rows.append(np.full(n, row0))
-    cols.append(np.arange(n))
-    vals.append(np.ones(n))
-    b_parts.append(np.ones(1))
-    row0 += 1
-
-    a_eq = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row0, nvars),
+    c, a_eq, b_eq = _coupling_lp(
+        [lam * _cost_matrix(g, support, t.points) for lam, t in targets],
+        [t.weights for _, t in targets],
     )
-    b_eq = np.concatenate(b_parts)
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
-    if not res.success:
-        raise SolverConsistencyError(f"barycenter LP failed: {res.message}")
-    w = np.maximum(res.x[:n], 0.0)
-    w[w < LP_ZERO_TOL] = 0.0
-    offset = n
-    for (_, target), k in zip(targets, sizes):
-        _check_marginals(res.x[offset : offset + n * k].reshape(n, k), w, target.weights)
-        offset += n * k
-    _check_dual_certificate(cost, a_eq, b_eq, res)
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+    w = _accepted(res, c, a_eq, b_eq)[:n]
     w /= w.sum()
     mu = discrete_measure(
         g, [(p, float(wi)) for p, wi in zip(support, w) if wi > 0.0]

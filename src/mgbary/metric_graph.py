@@ -120,9 +120,7 @@ class MetricGraph:
         for e in edges:
             i, j = self._index[e.u], self._index[e.v]
             lengths[i, j] = lengths[j, i] = min(lengths[i, j], e.length)
-        # the array serves whole cost matrices, the nested lists single distances
         self._table = csgraph.dijkstra(lengths)
-        self._dist: list[list[float]] = self._table.tolist()
         self._minimizing = {
             e.id: self.vertex_distance(e.u, e.v) >= e.length - REL_TOL * max(1.0, e.length)
             for e in edges
@@ -138,7 +136,7 @@ class MetricGraph:
         return v in self._adj
 
     def vertex_distance(self, a: str, b: str) -> float:
-        return self._dist[self._index[a]][self._index[b]]
+        return self._table.item(self._index[a], self._index[b])
 
     def canonical(self, p: GraphPoint) -> GraphPoint:
         """Return the unique canonical representation of ``p`` on this graph."""
@@ -229,6 +227,9 @@ def build_graph(spec: Mapping) -> MetricGraph:
             raise GraphValidationError(f"edge {eid!r} has non-finite length {length!r}")
         edges.append(Edge(eid, u, v, length))
     edges_t = tuple(sorted(edges, key=lambda e: e.id))
+    total = sum(e.length for e in edges_t)
+    if not math.isfinite(total * total):  # no squared distance may overflow
+        raise GraphValidationError(f"total edge length {total!r} is too large to square")
 
     degree = {v: 0 for v in vertices}
     for e in edges_t:
@@ -239,7 +240,7 @@ def build_graph(spec: Mapping) -> MetricGraph:
         raise GraphValidationError(f"isolated vertices (degree 0): {isolated}")
 
     g = MetricGraph(vertices, edges_t)
-    missing = sorted(v for v, d in zip(vertices, g._dist[0]) if d == math.inf)
+    missing = sorted(v for v, d in zip(vertices, g._table[0]) if d == math.inf)
     if missing:
         raise GraphValidationError(f"graph is disconnected; unreachable vertices: {missing}")
     return g
@@ -276,9 +277,8 @@ def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     if x.edge is not None and x.edge == y.edge:
         cands.append(abs(y.offset - x.offset))
     for c1, w1, _ in _exits(g, x):
-        row = g._dist[g._index[w1]]
         for c2, w2, _ in _exits(g, y):
-            cands.append((c1 + row[g._index[w2]]) + c2)
+            cands.append((c1 + g._table.item(g._index[w1], g._index[w2])) + c2)
     return min(cands)
 
 
@@ -377,14 +377,25 @@ def cut_points_from(g: MetricGraph, v: str) -> list[tuple[str, float]]:
 def parse_point(g: MetricGraph, literal: str) -> GraphPoint:
     """Parse a point literal: ``v:<vertexid>`` or ``<edgeid>:<offset>``.
 
-    Offsets are measured from the edge's endpoint ``u``.
+    Offsets are measured from the edge's endpoint ``u``. On a graph with an
+    edge ``v``, ``v:0.5`` reads both ways: it means the valid reading, and
+    raises ``ValueError`` when both are valid and name different points.
     """
-    if literal.startswith("v:"):
-        return g.canonical(GraphPoint.at_vertex(literal[2:]))
     eid, sep, off = literal.rpartition(":")
-    if not sep or not eid:
-        raise ValueError(f"bad point literal {literal!r}")
-    return g.canonical(GraphPoint.on_edge(eid, float(off)))
+    readings = [lambda: GraphPoint.at_vertex(literal[2:])] if literal.startswith("v:") else []
+    if sep and eid:
+        readings.append(lambda: GraphPoint.on_edge(eid, float(off)))
+    points, errors = set(), []
+    for reading in readings:
+        try:
+            points.add(g.canonical(reading()))
+        except ValueError as exc:
+            errors.append(exc)
+    if len(points) > 1:
+        raise ValueError(f"ambiguous point literal {literal!r}: a vertex or a point on edge {eid!r}")
+    if not points:
+        raise errors[0] if errors else ValueError(f"bad point literal {literal!r}")
+    return points.pop()
 
 
 def format_point(p: GraphPoint, digits: int | None = None) -> str:

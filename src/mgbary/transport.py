@@ -10,6 +10,7 @@ reuse them directly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -21,7 +22,9 @@ from scipy.optimize import linprog
 from .errors import (
     MeasureValidationError,
     NonMinimizingEdgeError,
+    ParseError,
     SolverConsistencyError,
+    SupportCapError,
 )
 from .metric_graph import (
     GraphPoint,
@@ -35,6 +38,9 @@ from .metric_graph import (
 )
 from .tolerances import LENGTH_TOL, LP_ZERO_TOL, MARGINAL_TOL, MASS_TOL, REL_TOL
 from .tolerances import _check_grid, _check_unit_mass, _finite, _merge_atoms, _piece_values
+
+DEFAULT_SUPPORT_CAP = 2_000_000
+SUPPORT_CAP_ENV = "MGBARY_SUPPORT_CAP"
 
 
 @dataclass(frozen=True)
@@ -152,9 +158,26 @@ def _make_plan(g: MetricGraph, entries) -> TransportPlan:
     return TransportPlan(entries=ordered, cost=cost)
 
 
+def _check_size(count: float, what: str) -> None:
+    """Refuse a grid or LP of ``count`` cells or variables above the cap that
+    ``MGBARY_SUPPORT_CAP`` sets (``DEFAULT_SUPPORT_CAP`` when unset)."""
+    raw = os.environ.get(SUPPORT_CAP_ENV, DEFAULT_SUPPORT_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ParseError(f"{SUPPORT_CAP_ENV} must be an integer, got {raw!r}") from None
+    if not count <= cap:
+        raise SupportCapError(
+            f"the grid needs {count:.6g} {what}, above the cap {cap}; "
+            f"coarsen the grid or raise {SUPPORT_CAP_ENV}"
+        )
+
+
 def _edge_cells(length: float, h: float) -> tuple[int, float]:
     """Number and width of the equal cells of spacing at most ``h`` on a length."""
-    n = max(1, math.ceil(length / h - REL_TOL))
+    cells = length / h - REL_TOL
+    _check_size(cells, "cells on one edge")
+    n = max(1, math.ceil(cells))
     return n, length / n
 
 
@@ -173,16 +196,6 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
             center = a + (k + 0.5) * width
             pairs.append((GraphPoint.on_edge(eid, center), d * width))
     return discrete_measure(g, pairs)
-
-
-def _check_marginals(plan: np.ndarray, rows: Sequence[float], cols: Sequence[float]):
-    """Raise if a solved coupling's row or column sums drift from their weights."""
-    residual = max(
-        float(np.max(np.abs(np.asarray(w) - plan.sum(axis=axis))))
-        for axis, w in ((1, rows), (0, cols))
-    )
-    if not residual <= MARGINAL_TOL:
-        raise SolverConsistencyError(f"plan marginal residual {residual!r} exceeds {MARGINAL_TOL}")
 
 
 def _cost_matrix(
@@ -230,12 +243,64 @@ def _cost_matrix(
     return np.float_power(d, 2)
 
 
-def _coupling_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the unit entries of the marginal equations of
-    a row-major ``n`` by ``k`` coupling: ``n`` row sums, then ``k`` column sums."""
-    rows = np.concatenate([np.repeat(np.arange(n), k), n + np.tile(np.arange(k), n)])
-    cols = np.tile(np.arange(n * k), 2)
-    return rows, cols
+def _coupling_lp(costs, targets, source=None):
+    """``c``, CSR ``A_eq`` and ``b_eq`` of row-major couplings from one source.
+
+    Coupling ``i`` has the n by k cost matrix ``costs[i]``, then sits beside
+    the ones before it with n row-sum and k column-sum equations; its column
+    sums are ``targets[i]``. Its row sums are ``source`` or, when that is
+    None, n leading columns of cost 0 that a last equation sums to 1.
+    """
+    n = costs[0].shape[0]
+    lead = n if source is None else 0
+    c, rows, cols, vals, b = [np.zeros(lead)], [], [], [], []
+    row0, col0 = 0, lead
+    for cost, weights in zip(costs, targets):
+        k = cost.shape[1]
+        c.append(cost.ravel())
+        rows += [row0 + np.repeat(np.arange(n), k), row0 + n + np.tile(np.arange(k), n)]
+        cols += [col0 + np.arange(n * k), col0 + np.arange(n * k)]
+        rows.append(row0 + np.arange(lead))  # row sums less the leading columns
+        cols.append(np.arange(lead))
+        vals += [np.ones(2 * n * k), -np.ones(lead)]
+        b += [np.zeros(n) if lead else source, weights]
+        row0 += n + k
+        col0 += n * k
+    if lead:
+        rows.append(np.full(n, row0))
+        cols.append(np.arange(n))
+        vals.append(np.ones(n))
+        b.append(np.ones(1))
+        row0 += 1
+    a_eq = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row0, col0),
+    )
+    return np.concatenate(c), a_eq, np.concatenate(b)
+
+
+def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
+    """The solution of a solved :func:`_coupling_lp`, entries below
+    ``LP_ZERO_TOL`` zeroed, once it meets every equation (each coupling's
+    marginals) within ``MARGINAL_TOL`` and the equality duals ``y`` prove it
+    optimal: reduced costs ``c - A^T y >= -tol`` and gap ``|c^T x - b^T y| <=
+    tol``, ``tol = REL_TOL * max(1, max c)``. Else ``SolverConsistencyError``.
+    """
+    if not res.success:
+        raise SolverConsistencyError(f"LP solve failed: {res.message}")
+    x = np.where(res.x < LP_ZERO_TOL, 0.0, res.x)
+    residual = float(np.max(np.abs(a_eq @ x - b_eq)))
+    if not residual <= MARGINAL_TOL:
+        raise SolverConsistencyError(f"plan marginal residual {residual!r} exceeds {MARGINAL_TOL}")
+    y = res.eqlin.marginals
+    tol = REL_TOL * max(1.0, float(c.max()))
+    reduced = float(np.min(c - a_eq.T @ y))
+    gap = abs(float(c @ x) - float(b_eq @ y))
+    if not (reduced >= -tol and gap <= tol):
+        raise SolverConsistencyError(
+            f"dual certificate fails: min reduced cost {reduced!r}, gap {gap!r}, tolerance {tol!r}"
+        )
+    return x
 
 
 def w2_graph(
@@ -245,38 +310,34 @@ def w2_graph(
 
     Solves the transportation linear program
     ``min sum pi(x, y) d(x, y)^2`` over couplings of the two weight vectors
-    exactly; the returned cost is the squared distance. The LP solver is
-    deterministic for identical inputs, which pins down one optimal plan when
-    several exist.
+    exactly; the returned cost is the squared distance. HiGHS solves it by
+    interior point with crossover to a vertex, deterministic for identical
+    inputs, which pins down one optimal plan when several exist.
 
     Raises
     ------
+    SupportCapError
+        If the LP would exceed the variable cap (``MGBARY_SUPPORT_CAP``).
     SolverConsistencyError
-        If the solver fails or the plan's marginals drift beyond ``MARGINAL_TOL``.
+        If the solver fails, the plan's marginals drift beyond ``MARGINAL_TOL``,
+        or the duals do not certify the plan optimal.
     """
     n, k = len(m1.points), len(m2.points)
-    if n == 1:
-        x = m1.points[0]
-        entries = [(x, y, w) for y, w in zip(m2.points, m2.weights)]
-        plan = _make_plan(g, entries)
-        return plan.cost, plan
-    if k == 1:
-        y = m2.points[0]
-        entries = [(x, y, w) for x, w in zip(m1.points, m1.weights)]
+    if n == 1 or k == 1:  # the one coupling moves each atom of the larger side whole
+        entries = [
+            (x, y, wy if n == 1 else wx)
+            for x, wx in zip(m1.points, m1.weights)
+            for y, wy in zip(m2.points, m2.weights)
+        ]
         plan = _make_plan(g, entries)
         return plan.cost, plan
 
-    cost = _cost_matrix(g, m1.points, m2.points)
-    a_eq = sparse.csr_matrix(
-        (np.ones(2 * n * k), _coupling_rows(n, k)), shape=(n + k, n * k)
+    _check_size(n * k, "LP variables")
+    c, a_eq, b_eq = _coupling_lp(
+        [_cost_matrix(g, m1.points, m2.points)], [m2.weights], m1.weights
     )
-    b_eq = np.concatenate([m1.weights, m2.weights])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise SolverConsistencyError(f"transport LP failed: {res.message}")
-    x = res.x.reshape(n, k)
-    x[x < LP_ZERO_TOL] = 0.0
-    _check_marginals(x, m1.weights, m2.weights)
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+    x = _accepted(res, c, a_eq, b_eq).reshape(n, k)
 
     entries = [
         (m1.points[i], m2.points[j], float(x[i, j]))

@@ -103,11 +103,12 @@ class TestSolveLP:
         expected = line_measure(pieces=[(1.0, 2.0, 1.0)])
         assert w2_line(line_view, expected) <= 0.05 + 1e-12
 
-    def test_support_cap_guard(self):
+    def test_support_cap_guard(self, monkeypatch):
         g = make_tripod()
         problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "10")
         with pytest.raises(SupportCapError, match="cap"):
-            solve_lp(problem, support_cap=10)
+            solve_lp(problem)
 
 
 class TestClampQuantile:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgbary.cli import main
 
@@ -79,6 +84,45 @@ class TestDist:
         )
         assert code == 1
         assert json.loads(out)["error"] == "parse-error"
+
+
+class TestPointLiteralOnEdgeV:
+    GRAPH = {
+        "vertices": ["A", "B", "0.5"],
+        "edges": [
+            {"id": "v", "u": "A", "v": "B", "length": 1.0},
+            {"id": "w", "u": "B", "v": "0.5", "length": 1.0},
+        ],
+    }
+
+    @pytest.fixture
+    def graph_path(self, tmp_path):
+        p = tmp_path / "edge_v.json"
+        p.write_text(json.dumps(self.GRAPH))
+        return str(p)
+
+    def test_ambiguous_point_is_a_parse_error(self, graph_path, capsys):
+        code, out = run_cli(
+            ["dist", "--graph", graph_path, "--from", "v:0.5", "--to", "v:A"], capsys
+        )
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "parse-error"
+        assert "ambiguous point literal 'v:0.5'" in obj["detail"]
+
+    def test_ambiguous_atom_is_an_invalid_measure(self, graph_path, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"atoms": [{"point": "v:0.5", "mass": 1.0}], "pieces": []}))
+        code, out = run_cli(["validate", "--graph", graph_path, "--measure", str(m)], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == "invalid-measure"
+
+    def test_point_on_edge_v(self, graph_path, capsys):
+        code, out = run_cli(
+            ["dist", "--graph", graph_path, "--from", "v:0.25", "--to", "v:A"], capsys
+        )
+        assert code == 0
+        assert out == "0.25\n"
 
 
 class TestValidate:
@@ -375,3 +419,112 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1.5\n"
+
+
+# Fuzzed input files: valid graph, measure and problem files on the triangle
+# and the tripod, each example spoiling up to three values anywhere in them
+# (a wrong type, NaN or inf, an unknown id, any float) or dropping a field,
+# a record or a whole file.
+ERROR_CODES = {
+    "file-not-found", "parse-error", "invalid-graph", "invalid-measure",
+    "non-minimizing-edge", "support-cap-exceeded", "internal-error",
+}
+JUNK = st.sampled_from([None, "abc", [], {}, True, 5, -1.0, 0.0, math.nan, math.inf, -math.inf])
+IDS = st.sampled_from(["A", "B", "o", "t1", "e_AB", "e_BC", "b1", "b2", "v", "zz"])
+SPOILED = st.one_of(JUNK, IDS, st.floats(allow_nan=True, allow_infinity=True))
+LITERAL = st.one_of(
+    st.sampled_from(["v:A", "v:t1", "e_AB:0.5", "b1:0.25", "v:0.5", "nope"]),
+    st.builds("{}:{}".format, IDS, SPOILED),
+)
+GRID = st.one_of(
+    st.just("0.25"), st.sampled_from(["0.5", "0", "-1", "nan", "inf", "1e-300", "1e300"])
+)
+DROP = object()
+EDGE_AND_VERTEX = {"triangle": ("e_BC", "B"), "tripod": ("b2", "t2")}
+
+
+def _valid_files(name: str) -> dict:
+    graph = TRIANGLE if name == "triangle" else TRIPOD
+    on_edge, vertex = EDGE_AND_VERTEX[name]
+    m1 = {
+        "atoms": [{"point": f"v:{vertex}", "mass": 0.5}],
+        "pieces": [{"edge": on_edge, "a": 0.0, "b": 1.0, "density": 0.5}],
+    }
+    m2 = {"atoms": [], "pieces": [{"edge": on_edge, "a": 0.5, "b": 1.0, "density": 2.0}]}
+    problem = {
+        "graph": graph if name == "triangle" else "graph.json",
+        "measures": [{"weight": 0.5, "measure": m} for m in (m1, m2)],
+        "grid": 0.25,
+    }
+    return json.loads(json.dumps({"graph": graph, "m1": m1, "m2": m2, "problem": problem}))
+
+
+def _slots(obj) -> list:
+    """Every (container, key) pair inside a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    out = []
+    for key, value in items:
+        out.append((obj, key))
+        if isinstance(value, (dict, list)):
+            out += _slots(value)
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["triangle", "tripod"]),
+    command=st.sampled_from(
+        ["validate", "dist", "w2", "phi", "bary-lp", "bary-fixed-point", "report"]
+    ),
+    grid=GRID,
+    spoils=st.integers(0, 3),
+)
+def test_fuzzed_input_files_exit_cleanly(fuzz_dir, data, name, command, grid, spoils):
+    edge, vertex = EDGE_AND_VERTEX[name]
+    edge = data.draw(st.one_of(st.just(edge), IDS))
+    points = data.draw(
+        st.tuples(*[st.one_of(st.sampled_from([f"v:{vertex}", f"{edge}:0.5"]), LITERAL)] * 2)
+    )
+    files = _valid_files(name)
+    for _ in range(spoils):
+        parent, key = data.draw(st.sampled_from(_slots(files)))
+        value = data.draw(st.one_of(st.just(DROP), SPOILED))
+        if value is DROP:
+            del parent[key]
+        else:
+            parent[key] = value
+    path = {f: str(fuzz_dir / f"{f}.json") for f in ("graph", "m1", "m2", "problem")}
+    for f, p in path.items():
+        if os.path.exists(p):
+            os.remove(p)
+        if f in files:
+            with open(p, "w") as fh:
+                json.dump(files[f], fh)
+    g = ["--graph", path["graph"]]
+    argv = {
+        "validate": ["validate", *g, "--measure", path["m1"]],
+        "dist": ["dist", *g, f"--from={points[0]}", f"--to={points[1]}"],
+        "w2": ["w2", *g, "--m1", path["m1"], "--m2", path["m2"], f"--grid={grid}"],
+        "phi": [
+            "phi", *g, "--edge", edge, "--base", path["m1"], "--measure", path["m2"],
+            f"--grid={grid}",
+        ],
+        "bary-lp": ["bary", "--problem", path["problem"], f"--grid={grid}"],
+        "bary-fixed-point": [
+            "bary", "--problem", path["problem"], "--method", "fixed-point", f"--edge={edge}",
+        ],
+        "report": ["report", "--problem", path["problem"]],
+    }[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code == 1:
+        assert json.loads(out.getvalue())["error"] in ERROR_CODES
+    else:
+        assert code == 0

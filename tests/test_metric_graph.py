@@ -10,6 +10,7 @@ from mgbary import (
     build_graph,
     cut_points_from,
     distance,
+    format_point,
     is_edge_minimizing,
     parse_point,
     path_segment_lengths,
@@ -67,6 +68,18 @@ class TestBuild:
                 }
             )
 
+    def test_lengths_too_large_to_square_rejected(self):
+        with pytest.raises(GraphValidationError, match="too large to square"):
+            build_graph(
+                {
+                    "vertices": ["A", "B", "C"],
+                    "edges": [
+                        {"id": "e", "u": "A", "v": "B", "length": 1e200},
+                        {"id": "f", "u": "B", "v": "C", "length": 1.0},
+                    ],
+                }
+            )
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphValidationError, match="self-loop"):
             build_graph(
@@ -119,6 +132,39 @@ class TestCanonical:
         assert parse_point(triangle, "v:A") == V("A")
         assert parse_point(triangle, "e_BC:0.5") == E("e_BC", 0.5)
         assert str(E("e_BC", 0.5)) == "e_BC:0.5"
+
+
+# an edge named v, and a vertex whose id reads as an offset on it
+EDGE_V = build_graph(
+    {
+        "vertices": ["A", "B", "0.5"],
+        "edges": [
+            {"id": "v", "u": "A", "v": "B", "length": 1.0},
+            {"id": "w", "u": "B", "v": "0.5", "length": 1.0},
+        ],
+    }
+)
+
+
+class TestPointLiteralOnEdgeV:
+    def test_vertex_reading(self):
+        assert parse_point(EDGE_V, "v:A") == V("A")
+        assert parse_point(EDGE_V, "v:1.0") == V("B")  # offset 1.0 is the vertex B
+
+    def test_edge_reading(self):
+        assert parse_point(EDGE_V, "v:0.25") == E("v", 0.25)
+
+    def test_both_readings_are_ambiguous(self):
+        with pytest.raises(ValueError, match="ambiguous point literal 'v:0.5'"):
+            parse_point(EDGE_V, "v:0.5")
+
+    def test_round_trip(self):
+        p = E("v", 0.75)
+        assert parse_point(EDGE_V, format_point(p)) == p
+
+    def test_neither_reading(self):
+        with pytest.raises(ValueError, match="unknown vertex id 'zz'"):
+            parse_point(EDGE_V, "v:zz")
 
 
 class TestDistance:

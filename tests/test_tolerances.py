@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgbary.barycenter
+import mgbary.transport
 from mgbary import (
     GraphPoint,
     LineMeasure,
@@ -22,6 +23,7 @@ from mgbary import (
     quantile,
     restrict,
     solve_lp,
+    w2_graph,
 )
 from conftest import make_tripod, tripod_outer_halves
 
@@ -134,21 +136,39 @@ class TestSolveLpChecksItsCertificate:
     @staticmethod
     def _shifted_duals(real, c, **kwargs):
         res = real(c, **kwargs)
-        res.eqlin.marginals[-1] += 1e-6  # the total-mass row, right-hand side 1
+        res.eqlin.marginals[-1] += 1e-6  # the last row, right-hand side > 0
         return res
 
-    @pytest.mark.parametrize("fault", ["_worst_point", "_shifted_duals"])
-    def test_non_optimal_answer_is_reported(self, monkeypatch, fault):
-        real = mgbary.barycenter.linprog
+    @staticmethod
+    def _solve_lp():
         g = make_tripod()
         problem = barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
-        solve_lp(problem)
+        return mgbary.barycenter, lambda: solve_lp(problem)
+
+    @staticmethod
+    def _w2_graph():
+        # two points on each side, so the plan comes from the LP
+        g = make_tripod()
+        m1 = discrete_measure(g, [(V("t1"), 0.5), (E("b2", 0.5), 0.5)])
+        m2 = discrete_measure(g, [(V("t3"), 0.25), (E("b1", 0.25), 0.75)])
+        return mgbary.transport, lambda: w2_graph(g, m1, m2)
+
+    @pytest.mark.parametrize(
+        "fault, solver",
+        [
+            pytest.param(fault, solver, id=fault + suffix)
+            for solver, suffix in (("_solve_lp", ""), ("_w2_graph", "-w2_graph"))
+            for fault in ("_worst_point", "_shifted_duals")
+        ],
+    )
+    def test_non_optimal_answer_is_reported(self, monkeypatch, fault, solver):
+        module, solve = getattr(self, solver)()
+        real = module.linprog
+        solve()
         wrapper = getattr(self, fault)
-        monkeypatch.setattr(
-            mgbary.barycenter, "linprog", lambda c, **kwargs: wrapper(real, c, **kwargs)
-        )
+        monkeypatch.setattr(module, "linprog", lambda c, **kwargs: wrapper(real, c, **kwargs))
         with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
-            solve_lp(problem)
+            solve()
 
 
 # masses, bounds and densities: half of them values that can add up to a

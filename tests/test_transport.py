@@ -18,6 +18,7 @@ from mgbary import (
     graph_measure,
     graph_measure_from_json,
     graph_measure_to_json,
+    SupportCapError,
     restrict,
     w2_graph,
 )
@@ -126,6 +127,18 @@ class TestDiscretize:
         offsets = sorted(p.offset for p in d.points)
         widths = [b - a for a, b in zip(offsets, offsets[1:])]
         assert all(w <= 0.3 + 1e-12 for w in widths)
+
+    def test_grids_and_lps_above_the_cap_are_refused(self, tripod, monkeypatch):
+        m = graph_measure(tripod, pieces=[("b1", 0.0, 1.0, 1.0)])
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "100")
+        d = discretize(tripod, m, 0.05)  # 20 cells
+        with pytest.raises(SupportCapError, match="400 LP variables"):
+            w2_graph(tripod, d, d)
+        with pytest.raises(SupportCapError, match="1000 cells on one edge"):
+            discretize(tripod, m, 1e-3)
+        monkeypatch.delenv("MGBARY_SUPPORT_CAP")
+        with pytest.raises(SupportCapError, match="cells on one edge"):
+            discretize(tripod, m, 1e-300)  # used to loop over 1e300 cells
 
 
 class TestW2Graph:
