@@ -230,8 +230,13 @@ def _cmd_report(args) -> dict:
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is a parse-error, not exit status 2
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mgbary",
         description="Transport distances, line unfoldings, and barycenters on metric graphs.",
     )
@@ -283,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "dist":
             g = _load_graph(args.graph)
             x, y = (_parsed(parse_point, g, lit) for lit in (args.src, args.dst))

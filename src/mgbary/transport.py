@@ -280,12 +280,12 @@ def _coupling_lp(costs, targets, source=None):
 
 
 def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
-    """The solution of a solved :func:`_coupling_lp`, entries below
+    """The solution ``x`` of a solved :func:`_coupling_lp`, entries below
     ``LP_ZERO_TOL`` zeroed, once it meets every equation (each coupling's
-    marginals) within ``MARGINAL_TOL`` and the equality duals ``y`` prove it
-    optimal: reduced costs ``c - A^T y >= -tol`` and gap ``|c^T x - b^T y| <=
-    tol``, ``tol = REL_TOL * max(1, max c)``. Else ``SolverConsistencyError``.
-    """
+    marginals) within ``MARGINAL_TOL`` and the equality duals ``y`` prove the
+    solver's unzeroed ``x`` optimal: reduced costs ``c - A^T y >= -tol``, gap
+    ``|c^T x - b^T y| <= tol``, ``tol = REL_TOL * max(1, max c)``. Else
+    ``SolverConsistencyError``."""
     if not res.success:
         raise SolverConsistencyError(f"LP solve failed: {res.message}")
     x = np.where(res.x < LP_ZERO_TOL, 0.0, res.x)
@@ -295,7 +295,7 @@ def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
     y = res.eqlin.marginals
     tol = REL_TOL * max(1.0, float(c.max()))
     reduced = float(np.min(c - a_eq.T @ y))
-    gap = abs(float(c @ x) - float(b_eq @ y))
+    gap = abs(float(c @ res.x) - float(b_eq @ y))
     if not (reduced >= -tol and gap <= tol):
         raise SolverConsistencyError(
             f"dual certificate fails: min reduced cost {reduced!r}, gap {gap!r}, tolerance {tol!r}"
@@ -323,12 +323,14 @@ def w2_graph(
         or the duals do not certify the plan optimal.
     """
     n, k = len(m1.points), len(m2.points)
-    if n == 1 or k == 1:  # the one coupling moves each atom of the larger side whole
-        entries = [
-            (x, y, wy if n == 1 else wx)
-            for x, wx in zip(m1.points, m1.weights)
-            for y, wy in zip(m2.points, m2.weights)
-        ]
+    if n == 1:
+        x = m1.points[0]
+        entries = [(x, y, w) for y, w in zip(m2.points, m2.weights)]
+        plan = _make_plan(g, entries)
+        return plan.cost, plan
+    if k == 1:
+        y = m2.points[0]
+        entries = [(x, y, w) for x, w in zip(m1.points, m1.weights)]
         plan = _make_plan(g, entries)
         return plan.cost, plan
 

@@ -106,8 +106,8 @@ class TestSolveLP:
     def test_support_cap_guard(self, monkeypatch):
         g = make_tripod()
         problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
-        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "10")
-        with pytest.raises(SupportCapError, match="cap"):
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "100")  # 16 cells pass, 1,300 LP variables do not
+        with pytest.raises(SupportCapError, match="LP variables, above the cap 100"):
             solve_lp(problem)
 
 

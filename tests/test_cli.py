@@ -257,10 +257,12 @@ class TestBary:
         assert obj["measure"]["atoms"] == [{"mass": 1.0, "point": "v:o"}]
 
     def test_support_cap_env(self, problem_path, capsys, monkeypatch):
-        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "10")
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "100")  # 16 cells pass, 1,300 LP variables do not
         code, out = run_cli(["bary", "--problem", problem_path], capsys)
         assert code == 1
-        assert json.loads(out)["error"] == "support-cap-exceeded"
+        obj = json.loads(out)
+        assert obj["error"] == "support-cap-exceeded"
+        assert "LP variables" in obj["detail"]
 
     def test_byte_identical_runs(self, problem_path, capsys):
         _, first = run_cli(["bary", "--problem", problem_path], capsys)
@@ -406,6 +408,25 @@ def test_nan_eps_is_a_json_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (["dist", "--graph", "G", "--from", "-Infinity", "--to", "v:A"], "--from: expected one"),
+        (["dist", "--graph", "G", "--from", "v:A"], "required: --to"),
+        (["w2", "--graph", "G", "--m1", "G", "--m2", "G", "--grid", "abc"], "invalid float"),
+        (["nosuch"], "invalid choice"),
+        ([], "required: command"),
+    ],
+    ids=["dash-value", "missing-option", "bad-float", "unknown-command", "no-command"],
+)
+def test_bad_command_line_is_a_json_error(triangle_path, capsys, args, detail):
+    code, out = run_cli([triangle_path if a == "G" else a for a in args], capsys)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["error"] == "parse-error"
+    assert detail in obj["detail"]
+
+
 def test_console_entry_point_runs(tmp_path):
     gpath = tmp_path / "triangle.json"
     gpath.write_text(json.dumps(TRIANGLE))
@@ -424,7 +445,8 @@ def test_console_entry_point_runs(tmp_path):
 # Fuzzed input files: valid graph, measure and problem files on the triangle
 # and the tripod, each example spoiling up to three values anywhere in them
 # (a wrong type, NaN or inf, an unknown id, any float) or dropping a field,
-# a record or a whole file.
+# a record or a whole file. Point literals, grids and edge ids are separate
+# arguments, as a user types them, and may start with "-".
 ERROR_CODES = {
     "file-not-found", "parse-error", "invalid-graph", "invalid-measure",
     "non-minimizing-edge", "support-cap-exceeded", "internal-error",
@@ -432,12 +454,19 @@ ERROR_CODES = {
 JUNK = st.sampled_from([None, "abc", [], {}, True, 5, -1.0, 0.0, math.nan, math.inf, -math.inf])
 IDS = st.sampled_from(["A", "B", "o", "t1", "e_AB", "e_BC", "b1", "b2", "v", "zz"])
 SPOILED = st.one_of(JUNK, IDS, st.floats(allow_nan=True, allow_infinity=True))
+# command-line values that argparse may take for options or end-of-options
+DASHED = st.sampled_from(["-Infinity", "-inf", "-1", "-v:A", "-h", "--", "-"])
 LITERAL = st.one_of(
     st.sampled_from(["v:A", "v:t1", "e_AB:0.5", "b1:0.25", "v:0.5", "nope"]),
     st.builds("{}:{}".format, IDS, SPOILED),
+    st.builds(str, SPOILED),
+    DASHED,
 )
 GRID = st.one_of(
-    st.just("0.25"), st.sampled_from(["0.5", "0", "-1", "nan", "inf", "1e-300", "1e300"])
+    st.just("0.25"),
+    st.sampled_from(["0.5", "0", "nan", "inf", "1e-300", "1e300"]),
+    st.builds(str, SPOILED),
+    DASHED,
 )
 DROP = object()
 EDGE_AND_VERTEX = {"triangle": ("e_BC", "B"), "tripod": ("b2", "t2")}
@@ -487,7 +516,7 @@ def fuzz_dir(tmp_path_factory):
 )
 def test_fuzzed_input_files_exit_cleanly(fuzz_dir, data, name, command, grid, spoils):
     edge, vertex = EDGE_AND_VERTEX[name]
-    edge = data.draw(st.one_of(st.just(edge), IDS))
+    edge = data.draw(st.one_of(st.just(edge), IDS, DASHED))
     points = data.draw(
         st.tuples(*[st.one_of(st.sampled_from([f"v:{vertex}", f"{edge}:0.5"]), LITERAL)] * 2)
     )
@@ -509,15 +538,15 @@ def test_fuzzed_input_files_exit_cleanly(fuzz_dir, data, name, command, grid, sp
     g = ["--graph", path["graph"]]
     argv = {
         "validate": ["validate", *g, "--measure", path["m1"]],
-        "dist": ["dist", *g, f"--from={points[0]}", f"--to={points[1]}"],
-        "w2": ["w2", *g, "--m1", path["m1"], "--m2", path["m2"], f"--grid={grid}"],
+        "dist": ["dist", *g, "--from", points[0], "--to", points[1]],
+        "w2": ["w2", *g, "--m1", path["m1"], "--m2", path["m2"], "--grid", grid],
         "phi": [
             "phi", *g, "--edge", edge, "--base", path["m1"], "--measure", path["m2"],
-            f"--grid={grid}",
+            "--grid", grid,
         ],
-        "bary-lp": ["bary", "--problem", path["problem"], f"--grid={grid}"],
+        "bary-lp": ["bary", "--problem", path["problem"], "--grid", grid],
         "bary-fixed-point": [
-            "bary", "--problem", path["problem"], "--method", "fixed-point", f"--edge={edge}",
+            "bary", "--problem", path["problem"], "--method", "fixed-point", "--edge", edge,
         ],
         "report": ["report", "--problem", path["problem"]],
     }[command]

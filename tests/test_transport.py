@@ -168,6 +168,17 @@ class TestW2Graph:
         assert cost == pytest.approx(0.25, abs=1e-12)
         assert len(plan.entries) == 2
 
+    def test_many_atoms_below_the_zero_tolerance_are_certified(self):
+        # 100 atoms of mass 5e-14 fall below LP_ZERO_TOL; dropped before the
+        # duality gap is taken, their cost alone would exceed its tolerance
+        g = make_segment()
+        tiny = [(E("seg", 0.9 + 0.0009 * i), 5e-14) for i in range(100)]
+        m1 = discrete_measure(g, [(V("L"), 1 - 100 * 5e-14)] + tiny)
+        m2 = discrete_measure(g, [(V("L"), 0.5), (E("seg", 0.1), 0.5)])
+        cost, plan = w2_graph(g, m1, m2)
+        assert cost == pytest.approx(0.005, abs=1e-12)
+        assert len(plan.entries) == 2
+
     def test_marginal_conservation(self, triangle):
         rng = random.Random(29)
         for _ in range(20):
