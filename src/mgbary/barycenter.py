@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 from scipy.optimize import linprog
 
 from .covering import make_cover_context, measure_on_edge_as_line, phi
@@ -206,8 +205,7 @@ def _project_line_to_edge_grid(
         pairs.append((GraphPoint.at_vertex(e1), v1_mass))
     for k, mass in enumerate(cell_mass):
         if mass > 0.0:
-            s = (k + 0.5) * width
-            off = e.length - s if oe.reverse else s
+            off = g.flip_offset(oe, (k + 0.5) * width)
             pairs.append((GraphPoint.on_edge(e.id, off), mass))
     return discrete_measure(g, pairs)
 
@@ -217,16 +215,13 @@ def _pull_line_to_edge(
 ) -> GraphMeasure:
     """Identify a measure on [0, length] with a measure on the oriented edge."""
     e = g.edge(oe.edge)
-    atoms = []
-    for x, mass in m.atoms:
-        off = e.length - x if oe.reverse else x
-        atoms.append((GraphPoint.on_edge(e.id, min(max(off, 0.0), e.length)), mass))
-    pieces = []
-    for a, b, d in m.pieces:
-        if oe.reverse:
-            pieces.append((e.id, e.length - b, e.length - a, d))
-        else:
-            pieces.append((e.id, a, b, d))
+    atoms = [
+        (GraphPoint.on_edge(e.id, min(max(g.flip_offset(oe, x), 0.0), e.length)), mass)
+        for x, mass in m.atoms
+    ]
+    pieces = [
+        (e.id, *sorted((g.flip_offset(oe, a), g.flip_offset(oe, b))), d) for a, b, d in m.pieces
+    ]
     return graph_measure(g, atoms=atoms, pieces=pieces)
 
 

@@ -34,9 +34,11 @@ from .metric_graph import (
 )
 from .tolerances import _check_threshold
 from .transport import (
-    DiscreteMeasure,
+    GraphMeasure,
+    discrete_to_graph_measure,
     discretize,
     graph_measure_from_json,
+    graph_measure_to_json,
     w2_graph,
 )
 
@@ -100,16 +102,6 @@ def _load_problem(path: str, grid_override: float | None) -> BarycenterProblem:
     if grid_override is not None:
         grid = grid_override
     return barycenter_problem(g, measures, grid)
-
-
-def _discrete_to_json(m: DiscreteMeasure) -> dict:
-    return {
-        "atoms": [
-            {"point": format_point(p, DIGITS), "mass": _fmt(w)}
-            for p, w in zip(m.points, m.weights)
-        ],
-        "pieces": [],
-    }
 
 
 def _emit(obj, output: str | None) -> None:
@@ -176,7 +168,7 @@ def _cmd_bary(args) -> dict:
             "method": "lp",
             "grid": _fmt(problem.grid),
             "objective": _fmt(value),
-            "measure": _discrete_to_json(mu),
+            "measure": graph_measure_to_json(discrete_to_graph_measure(mu), DIGITS, _fmt),
         }
     if not args.edge:
         raise ParseError("--edge is required for --method fixed-point")
@@ -191,7 +183,9 @@ def _cmd_bary(args) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "objective": _fmt(objective(problem, result.measure)),
-        "measure": _discrete_to_json(result.measure),
+        "measure": graph_measure_to_json(
+            discrete_to_graph_measure(result.measure), DIGITS, _fmt
+        ),
     }
 
 
@@ -220,10 +214,9 @@ def _cmd_report(args) -> dict:
         "lambda_ac": _fmt(report.lambda_ac),
         "max_interior_mass": _fmt(report.max_interior_mass),
         "max_interior_density": _fmt(report.max_interior_density),
-        "interior_atoms": [
-            {"point": format_point(p, DIGITS), "mass": _fmt(w)}
-            for p, w in report.interior_atoms
-        ],
+        "interior_atoms": graph_measure_to_json(
+            GraphMeasure(atoms=report.interior_atoms), DIGITS, _fmt
+        )["atoms"],
         "vertex_atoms": [
             {"vertex": v, "mass": _fmt(w)} for v, w in report.vertex_atoms
         ],

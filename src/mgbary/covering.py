@@ -5,13 +5,18 @@ every target measure is pushed to the line through three distance maps: the
 edge itself covers [0, length], everything reached through the far endpoint
 lands beyond ``length``, and everything reached through the near endpoint
 lands below 0. Which map applies to which mass is read off an optimal plan
-from the base measure, decomposed by geodesic class.
+from the base measure, decomposed by geodesic class. When every base point
+gives a target the same class, every optimal plan sends that target through
+that one map, so no plan is solved unless some target's class depends on the
+base point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import MeasureValidationError
 from .line_ot import LineMeasure, line_measure
@@ -25,8 +30,10 @@ from .metric_graph import (
 from .transport import (
     BranchTag,
     DiscreteMeasure,
+    _branch_table,
+    _check_size,
+    _indexed,
     _require_minimizing,
-    classify_pair,
     w2_graph,
 )
 from .tolerances import LENGTH_TOL
@@ -79,30 +86,43 @@ def h_eval(ctx: CoverContext, tag: BranchTag, y: GraphPoint) -> float:
 def phi(ctx: CoverContext, nu: DiscreteMeasure) -> LineMeasure:
     """Push a measure on the graph to the line through the unfolding.
 
-    An optimal plan from the base measure to ``nu`` is computed, each pair is
-    classified by geodesic class, and each target point goes through the
-    matching branch map. A target whose pairs all share one class keeps its
-    weight verbatim, so measures supported on the base edge map to themselves
-    (as offsets) exactly.
+    Each target point goes through the branch map of its geodesic class from
+    the base points. A target whose pairs all share one class keeps its weight
+    verbatim, so measures supported on the base edge map to themselves (as
+    offsets) exactly. When that holds for every target, every optimal plan
+    sends each target to the same point, so none is solved and the targets go
+    in ``nu``'s point order. A plan from one base point lists them in that
+    order too; from several, three or more targets with one image may be
+    summed in another order, and the sum then differs in the last bit.
+    Otherwise an optimal plan is solved, and its split of each cut target
+    between classes is the selection.
     """
     g = ctx.graph
-    _, plan = w2_graph(g, ctx.base, nu)
-    groups: dict[GraphPoint, dict[BranchTag, float]] = {}
-    for x, y, mass in plan.entries:
-        tag = classify_pair(g, ctx.edge, x, y)
-        bucket = groups.setdefault(y, {})
+    n, k = len(ctx.base.points), len(nu.points)
+    if n > 1 and k > 1:  # the size w2_graph refuses, before the table is built
+        _check_size(n * k, "LP variables")
+    tags, ends = _branch_table(g, ctx.edge, ctx.base.points, nu.points)
+    length = g.edge(ctx.edge.edge).length  # per target, as h_eval: E, PLUS, MINUS
+    images = np.stack([ends[0], length + ends[1], -ends[0]]).T.tolist()
+    if (tags == tags[0]).all():
+        pairs = zip(range(len(nu.points)), tags[0], nu.weights)
+    else:
+        _, plan = w2_graph(g, ctx.base, nu)
+        rows, cols = _indexed(ctx.base.points), _indexed(nu.points)
+        pairs = ((cols[y], tags[rows[x], cols[y]], m) for x, y, m in plan.entries)
+    groups: dict[int, dict[int, float]] = {}
+    for j, tag, mass in pairs:
+        bucket = groups.setdefault(j, {})
         bucket[tag] = bucket.get(tag, 0.0) + mass
 
-    weights = nu.as_dict()
     atoms: list[tuple[float, float]] = []
-    for y, tags in groups.items():
-        if len(tags) == 1:
-            (tag,) = tags
-            atoms.append((h_eval(ctx, tag, y), weights[y]))
+    for j, split in groups.items():
+        if len(split) == 1:
+            (tag,) = split
+            atoms.append((images[j][tag], nu.weights[j]))
         else:
-            # a cut pair: the plan's split between classes is the selection
-            for tag, mass in tags.items():
-                atoms.append((h_eval(ctx, tag, y), mass))
+            # a cut target: the plan's split between classes is the selection
+            atoms.extend((images[j][tag], mass) for tag, mass in split.items())
     return line_measure(atoms=atoms)
 
 

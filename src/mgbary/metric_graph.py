@@ -177,7 +177,12 @@ class MetricGraph:
             return None
         if p.edge != e.id:
             return None
-        return e.length - p.offset if oe.reverse else p.offset
+        return self.flip_offset(oe, p.offset)
+
+    def flip_offset(self, oe: OrientedEdge, offset: float) -> float:
+        """Turn an offset along ``oe`` into a stored offset, or back: the map
+        is its own inverse, ``length - offset`` when ``oe`` is reversed."""
+        return self.edge(oe.edge).length - offset if oe.reverse else offset
 
 
 def build_graph(spec: Mapping) -> MetricGraph:

@@ -31,7 +31,6 @@ from .metric_graph import (
     MetricGraph,
     OrientedEdge,
     _exits,
-    distance,
     format_point,
     is_edge_minimizing,
     parse_point,
@@ -150,11 +149,28 @@ class TransportPlan:
         return out
 
 
-def _make_plan(g: MetricGraph, entries) -> TransportPlan:
+def _indexed(points: Iterable[GraphPoint]) -> dict[GraphPoint, int]:
+    """Each distinct point, in first-seen order, mapped to its index."""
+    return {p: i for i, p in enumerate(dict.fromkeys(points))}
+
+
+def _make_plan(g: MetricGraph, entries, costs=None) -> TransportPlan:
+    """The plan of ``entries`` sorted by point, its cost summed in that order.
+
+    ``costs`` is ``(xs, ys, c)`` with ``c[i, j]`` the squared distance from
+    ``xs[i]`` to ``ys[j]``; by default one :func:`_cost_matrix` over the
+    entries' distinct points.
+    """
     ordered = tuple(
         sorted(entries, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
     )
-    cost = sum(m * distance(g, x, y) ** 2 for x, y, m in ordered)
+    if costs is None:
+        xs = list(dict.fromkeys(x for x, _, _ in ordered))
+        ys = list(dict.fromkeys(y for _, y, _ in ordered))
+        costs = xs, ys, _cost_matrix(g, xs, ys)
+    xs, ys, c = costs
+    rows, cols = _indexed(xs), _indexed(ys)
+    cost = sum(m * float(c[rows[x], cols[y]]) for x, y, m in ordered)
     return TransportPlan(entries=ordered, cost=cost)
 
 
@@ -198,16 +214,15 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
     return discrete_measure(g, pairs)
 
 
-def _cost_matrix(
+def _distance_matrix(
     g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
 ) -> np.ndarray:
-    """Squared distances ``distance(g, x, y) ** 2`` for every pair of points.
+    """``distance(g, x, y)`` for every pair of points.
 
     Bit for bit the floats of :func:`distance`: each pair takes the minimum of
     ``(c1 + D[w1, w2]) + c2`` over its at most 2 x 2 exit pairs, summed from
     the canonically first point (the vertex table is not bit-symmetric), then
-    the same-edge segment; equal points are 0. ``np.float_power`` squares
-    through C ``pow``, as Python's ``** 2`` does.
+    the same-edge segment; equal points are 0.
     """
     xs = [g.canonical(p) for p in xs]
     ys = [g.canonical(p) for p in ys]
@@ -240,7 +255,12 @@ def _cost_matrix(
     same_edge = (ex[:, None] == ey[None, :]) & (ex[:, None] >= 0)
     d = np.where(same_edge, np.minimum(d, np.abs(oy[None, :] - ox[:, None])), d)
     d[rx[:, None] == ry[None, :]] = 0.0
-    return np.float_power(d, 2)
+    return d
+
+
+def _cost_matrix(g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):
+    """``distance(g, x, y) ** 2`` bit for bit: ``np.float_power`` squares by C ``pow``."""
+    return np.float_power(_distance_matrix(g, xs, ys), 2)
 
 
 def _coupling_lp(costs, targets, source=None):
@@ -335,9 +355,8 @@ def w2_graph(
         return plan.cost, plan
 
     _check_size(n * k, "LP variables")
-    c, a_eq, b_eq = _coupling_lp(
-        [_cost_matrix(g, m1.points, m2.points)], [m2.weights], m1.weights
-    )
+    costs = _cost_matrix(g, m1.points, m2.points)
+    c, a_eq, b_eq = _coupling_lp([costs], [m2.weights], m1.weights)
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
     x = _accepted(res, c, a_eq, b_eq).reshape(n, k)
 
@@ -345,7 +364,7 @@ def w2_graph(
         (m1.points[i], m2.points[j], float(x[i, j]))
         for i, j in zip(*np.nonzero(x))
     ]
-    plan = _make_plan(g, entries)
+    plan = _make_plan(g, entries, (m1.points, m2.points, costs))
     return plan.cost, plan
 
 
@@ -364,6 +383,35 @@ def _require_minimizing(g: MetricGraph, oe: OrientedEdge):
         )
 
 
+def _branch_table(
+    g: MetricGraph, oe: OrientedEdge, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of :func:`classify_pair` for every pair of sources ``xs`` on
+    the base edge and targets ``ys``: the n by k indices into ``tuple(BranchTag)``,
+    and the 2 by k distances from the oriented endpoints ``e0``, ``e1``."""
+    _require_minimizing(g, oe)
+    ax = np.array([g.oriented_offset(oe, x) for x in xs], dtype=float)[:, None]
+    if np.isnan(ax).any():
+        raise ValueError(f"source {xs[np.argmax(np.isnan(ax))]} is off edge {oe.edge!r}")
+    ay = np.array([g.oriented_offset(oe, y) for y in ys], dtype=float)  # NaN off the edge
+    e0, e1 = (GraphPoint.at_vertex(v) for v in g.oriented_endpoints(oe))
+    d = _distance_matrix(g, [e0, e1, *xs], ys)
+    ends, reach = d[:2], d[2:] + LENGTH_TOL
+    length = g.edge(oe.edge).length
+    matches = [
+        np.abs(ay - ax) <= reach,
+        (length - ax) + ends[1] <= reach,
+        ax + ends[0] <= reach,
+    ]
+    tags = np.select(matches, range(len(matches)), -1)
+    if (tags < 0).any():
+        i, j = np.argwhere(tags < 0)[0]
+        raise SolverConsistencyError(
+            f"no geodesic class matches pair ({xs[i]}, {ys[j]}) on edge {oe.edge!r}"
+        )
+    return tags, ends
+
+
 def classify_pair(
     g: MetricGraph, oe: OrientedEdge, x: GraphPoint, y: GraphPoint
 ) -> BranchTag:
@@ -374,23 +422,8 @@ def classify_pair(
     Ties resolve with priority E > PLUS > MINUS, so measures living on the
     edge always classify as E.
     """
-    _require_minimizing(g, oe)
-    e = g.edge(oe.edge)
-    ax = g.oriented_offset(oe, x)
-    if ax is None:
-        raise ValueError(f"point {x} is not on edge {oe.edge!r}")
-    d = distance(g, x, y)
-    ay = g.oriented_offset(oe, y)
-    if ay is not None and abs(ay - ax) <= d + LENGTH_TOL:
-        return BranchTag.E
-    e0, e1 = g.oriented_endpoints(oe)
-    if (e.length - ax) + distance(g, GraphPoint.at_vertex(e1), y) <= d + LENGTH_TOL:
-        return BranchTag.PLUS
-    if ax + distance(g, GraphPoint.at_vertex(e0), y) <= d + LENGTH_TOL:
-        return BranchTag.MINUS
-    raise SolverConsistencyError(
-        f"no geodesic class matches pair ({x}, {y}) on edge {oe.edge!r}"
-    )
+    tags, _ = _branch_table(g, oe, [x], [y])
+    return tuple(BranchTag)[tags[0, 0]]
 
 
 def decompose_plan(
@@ -401,19 +434,13 @@ def decompose_plan(
     The three parts sum back to the plan entry by entry; on a minimizing edge
     the PLUS and MINUS parts cannot overlap.
     """
-    _require_minimizing(g, oe)
-    parts: dict[BranchTag, list] = {t: [] for t in BranchTag}
+    rows = _indexed(x for x, _, _ in plan.entries)
+    cols = _indexed(y for _, y, _ in plan.entries)
+    tags, _ = _branch_table(g, oe, list(rows), list(cols))
+    parts: list[list] = [[] for _ in BranchTag]
     for x, y, m in plan.entries:
-        if g.oriented_offset(oe, x) is None:
-            raise ValueError(
-                f"plan has source mass off edge {oe.edge!r} at {x}"
-            )
-        parts[classify_pair(g, oe, x, y)].append((x, y, m))
-    return (
-        _make_plan(g, parts[BranchTag.E]),
-        _make_plan(g, parts[BranchTag.PLUS]),
-        _make_plan(g, parts[BranchTag.MINUS]),
-    )
+        parts[tags[rows[x], cols[y]]].append((x, y, m))
+    return tuple(_make_plan(g, part) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -496,10 +523,12 @@ def restrict(
     )
 
 
-def graph_measure_to_json(m: GraphMeasure, digits: int | None = None) -> dict:
+def graph_measure_to_json(m: GraphMeasure, digits: int | None = None, fmt=None) -> dict:
+    """``digits`` limits offsets' significant digits; ``fmt`` formats masses."""
     return {
         "atoms": [
-            {"point": format_point(p, digits), "mass": mass} for p, mass in m.atoms
+            {"point": format_point(p, digits), "mass": mass if fmt is None else fmt(mass)}
+            for p, mass in m.atoms
         ],
         "pieces": [
             {"edge": eid, "a": a, "b": b, "density": d} for eid, a, b, d in m.pieces

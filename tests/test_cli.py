@@ -207,6 +207,24 @@ class TestPhi:
         obj = json.loads(out)
         assert obj["atoms"] == [{"mass": 1.0, "x": -0.6}]
 
+    def test_support_above_the_cap_is_refused(self, tmp_path, capsys, monkeypatch):
+        gpath = tmp_path / "tripod.json"
+        gpath.write_text(json.dumps(TRIPOD))
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"atoms": [], "pieces": [{"edge": "b1", "a": 0.0, "b": 1.0, "density": 1.0}]}))
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "100")  # 20 cells pass, 400 pairs do not
+        code, out = run_cli(
+            [
+                "phi", "--graph", str(gpath), "--edge", "b1",
+                "--base", str(m), "--measure", str(m), "--grid", "0.05",
+            ],
+            capsys,
+        )
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "support-cap-exceeded"
+        assert "400 LP variables" in obj["detail"]
+
     def test_non_minimizing_edge_code(self, tmp_path, capsys):
         gpath = tmp_path / "par.json"
         gpath.write_text(

@@ -3,12 +3,16 @@ import random
 
 import pytest
 
+import mgbary.covering
 from mgbary import (
     BranchTag,
     GraphPoint,
     MeasureValidationError,
     NonMinimizingEdgeError,
     OrientedEdge,
+    SupportCapError,
+    build_graph,
+    classify_pair,
     discrete_measure,
     discretize,
     distance,
@@ -16,6 +20,7 @@ from mgbary import (
     graph_measure,
     h_eval,
     lift_line_plan,
+    line_measure,
     make_cover_context,
     measure_on_edge_as_line,
     phi,
@@ -23,7 +28,12 @@ from mgbary import (
     w2_graph,
     w2_line,
 )
-from conftest import make_parallel, make_square_with_chord, make_tripod
+from conftest import (
+    make_parallel,
+    make_square_with_chord,
+    make_triangle,
+    make_tripod,
+)
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -280,3 +290,110 @@ class TestEdgeLineView:
         assert fwd.atoms == ((0.25, 0.5), (1.0, 0.5))
         rev = measure_on_edge_as_line(tripod, OrientedEdge("b1", reverse=True), m)
         assert rev.atoms == ((0.0, 0.5), (0.75, 0.5))
+
+
+def plan_phi(ctx, nu):
+    """``phi`` read off an optimal plan entry by entry, whatever the classes."""
+    _, plan = w2_graph(ctx.graph, ctx.base, nu)
+    groups = {}
+    for x, y, mass in plan.entries:
+        bucket = groups.setdefault(y, {})
+        tag = classify_pair(ctx.graph, ctx.edge, x, y)
+        bucket[tag] = bucket.get(tag, 0.0) + mass
+    weights = nu.as_dict()
+    atoms = []
+    for y, split in groups.items():
+        if len(split) == 1:
+            (tag,) = split
+            atoms.append((h_eval(ctx, tag, y), weights[y]))
+        else:
+            atoms.extend((h_eval(ctx, tag, y), mass) for tag, mass in split.items())
+    return line_measure(atoms=atoms)
+
+
+@pytest.fixture
+def plans_solved(monkeypatch):
+    """Count the transport plans that ``phi`` solves."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return w2_graph(*args)
+
+    monkeypatch.setattr(mgbary.covering, "w2_graph", counted)
+    return calls
+
+
+class TestPhiPlanFree:
+    @pytest.mark.parametrize(
+        "maker, eid, cuts",  # a tree has no cut targets
+        [
+            (make_tripod, "b1", False),
+            (make_triangle, "e_AB", True),
+            (make_square_with_chord, "q13", True),
+        ],
+    )
+    def test_matches_plan_reference(self, maker, eid, cuts, plans_solved):
+        g = maker()
+        rng = random.Random(eid)
+        plan_free = 0
+        for k in range(16):
+            oe = OrientedEdge(eid, reverse=k % 4 >= 2)
+            if k % 2:
+                base = random_measure_on_edge(g, eid, rng)
+            else:  # a Dirac base, at an endpoint or inside the edge
+                where = rng.choice([0.0, rng.uniform(0.0, g.edge(eid).length)])
+                base = discrete_measure(g, [(E(eid, where), 1.0)])
+            ctx = make_cover_context(g, oe, base)
+            nu = random_measure_anywhere(g, rng, n=6)
+            before = len(plans_solved)
+            assert phi(ctx, nu) == plan_phi(ctx, nu)
+            plan_free += len(plans_solved) == before
+        assert plan_free > 0 and (plan_free < 16) == cuts
+
+    def test_class_constant_targets_solve_no_plan(self, tripod, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("phi solved a transport plan")
+
+        monkeypatch.setattr(mgbary.covering, "w2_graph", refuse)
+        base = random_measure_on_edge(tripod, "b1", random.Random(67))
+        nu = discrete_measure(
+            tripod, [(E("b2", 0.25), 0.5), (E("b3", 0.5), 0.25), (V("t1"), 0.25)]
+        )
+        image = phi(make_cover_context(tripod, "b1", base), nu)
+        assert image == line_measure(atoms=[(-0.25, 0.5), (-0.5, 0.25), (1.0, 0.25)])
+
+    def test_cut_target_follows_the_plan(self, triangle, plans_solved):
+        # C is reached through A from e_AB:0.2 and through B from e_AB:0.7
+        base = discrete_measure(triangle, [(E("e_AB", 0.2), 0.3), (E("e_AB", 0.7), 0.7)])
+        nu = discrete_measure(triangle, [(V("C"), 0.5), (E("e_AB", 0.9), 0.5)])
+        image = phi(make_cover_context(triangle, "e_AB", base), nu)
+        assert len(plans_solved) == 1
+        _, plan = w2_graph(triangle, base, nu)
+        to_c = {x: m for x, y, m in plan.entries if y == V("C")}
+        assert to_c[E("e_AB", 0.2)] == pytest.approx(0.3, abs=1e-12)
+        assert to_c[E("e_AB", 0.7)] == pytest.approx(0.2, abs=1e-12)
+        assert image == line_measure(
+            atoms=[(-1.0, to_c[E("e_AB", 0.2)]), (2.0, to_c[E("e_AB", 0.7)]), (0.9, 0.5)]
+        )
+
+    def test_support_above_the_cap_is_refused(self, tripod, monkeypatch):
+        m = graph_measure(tripod, pieces=[("b1", 0.0, 1.0, 1.0)])
+        d = discretize(tripod, m, 0.05)  # 20 cells, all of class E: no plan needed
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "100")
+        with pytest.raises(SupportCapError, match="400 LP variables"):
+            phi(make_cover_context(tripod, "b1", d), d)
+
+    def test_coinciding_images_sum_in_point_order(self):
+        star = build_graph(
+            {
+                "vertices": ["c", "t0", "t1", "t2", "t3"],
+                "edges": [{"id": f"s{i}", "u": "c", "v": f"t{i}", "length": 1.0} for i in range(4)],
+            }
+        )
+        base = discrete_measure(star, [(E("s0", 0.25), 0.5), (E("s0", 0.75), 0.5)])
+        # all three reached through c, so all land on -0.5; any plan is optimal
+        nu = discrete_measure(star, [(E("s1", 0.5), 0.7), (E("s2", 0.5), 0.2), (E("s3", 0.5), 0.1)])
+        image = phi(make_cover_context(star, "s0", base), nu)
+        assert 0.7 + 0.2 + 0.1 != 0.1 + 0.2 + 0.7  # the order shows in the last bit
+        assert image.atoms == ((-0.5, 0.7 + 0.2 + 0.1),)
