@@ -13,9 +13,11 @@ clamped-quantile characterization of edge-supported barycenters.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 from scipy.optimize import linprog
 
 from .covering import make_cover_context, measure_on_edge_as_line, phi
@@ -34,14 +36,19 @@ from .transport import (
     _check_size,
     _cost_matrix,
     _coupling_lp,
+    _distance_matrix,
     _edge_cells,
+    _weight_reduced_costs,
     discrete_measure,
     discretize,
     graph_measure,
     w2_graph,
 )
-from .tolerances import CELL_NUDGE, SNAP_TOL
+from .tolerances import CELL_NUDGE, LENGTH_TOL, REL_TOL, SNAP_TOL
 from .tolerances import _check_grid, _check_threshold, _check_weights
+
+_log = logging.getLogger("mgbary")
+
 
 @dataclass(frozen=True)
 class BarycenterProblem:
@@ -98,36 +105,76 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     the constraints tie each coupling's first marginal to the weights and its
     second to the discretized input. The optimum is exact for the discretized
     problem since everything is jointly linear. HiGHS solves it by interior
-    point with crossover to a vertex; the answer is accepted only after its
+    point with crossover to a vertex; every answer is accepted only after its
     couplings' marginals and a dual certificate of optimality are checked.
+
+    The optimal barycenter has small support, so each LP spans a candidate
+    set S. Extended to every other candidate by the c-transform, its duals
+    price the weight there; when no reduced cost is below ``-REL_TOL * max(1,
+    max cost)`` they are feasible for the whole grid's LP at the same value,
+    so S's optimum is the grid's. Otherwise the worst candidates join S. On
+    a grid of more than ``COARSEN_ABOVE`` candidates whose coarsening to
+    twice the spacing leaves at most 2/3 of them, S starts within two cells
+    of the answer there; else at the best Dirac positions. The cap still
+    counts every candidate against every input cell.
 
     Raises
     ------
     SupportCapError
-        If the LP or an edge's cell grid would exceed the cap
-        (``MGBARY_SUPPORT_CAP`` overrides the default).
+        If the LP over the whole grid or an edge's cell grid would exceed the
+        cap (``MGBARY_SUPPORT_CAP`` overrides the default).
     ParseError
         If ``MGBARY_SUPPORT_CAP`` is not an integer.
     SolverConsistencyError
         If the solver fails, a coupling's marginals drift beyond ``MARGINAL_TOL``,
         or the duals do not certify the solution optimal.
     """
-    g = problem.graph
+    return _solve_priced(problem)
+
+
+SEED_SIZE = 16  # candidates of the coarsest level's first LP
+# below this many candidates, seeding by Dirac positions and pricing costs
+# less than solving the coarser grids first
+COARSEN_ABOVE = 256
+
+
+def _solve_priced(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
+    """:func:`solve_lp`, also at each coarser grid that seeds it."""
+    g, h = problem.graph, problem.grid
     support = candidate_support(problem)
     targets = _targets(problem)
     n = len(support)
     _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
-
-    c, a_eq, b_eq = _coupling_lp(
-        [lam * _cost_matrix(g, support, t.points) for lam, t in targets],
-        [t.weights for _, t in targets],
+    costs = [lam * _cost_matrix(g, support, t.points) for lam, t in targets]
+    weights = [t.weights for _, t in targets]
+    coarse = BarycenterProblem(g, problem.measures, 2 * h)
+    if n > COARSEN_ABOVE and 3 * len(candidate_support(coarse)) <= 2 * n:
+        seed, _ = _solve_priced(coarse)
+        near = _distance_matrix(g, support, seed.points).min(axis=1)
+        rows = np.flatnonzero(near <= 2 * h + LENGTH_TOL)
+    else:
+        dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
+        rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
+    tol = REL_TOL * max(1.0, max(float(cost.max()) for cost in costs))
+    rounds = 0
+    while True:
+        rounds += 1
+        c, a_eq, b_eq = _coupling_lp([cost[rows] for cost in costs], weights)
+        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+        w = _accepted(res, c, a_eq, b_eq)[: len(rows)]
+        slack = _weight_reduced_costs(costs, res.eqlin.marginals)
+        slack[rows] = np.inf
+        worst = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
+        worst = worst[slack[worst] < -tol]
+        if not worst.size:
+            break
+        rows = np.union1d(rows, worst)
+    _log.debug(
+        "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, min slack off S %r",
+        h, len(support), len(rows), rounds, float(slack.min()),
     )
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
-    w = _accepted(res, c, a_eq, b_eq)[:n]
     w /= w.sum()
-    mu = discrete_measure(
-        g, [(p, float(wi)) for p, wi in zip(support, w) if wi > 0.0]
-    )
+    mu = discrete_measure(g, [(support[i], float(wi)) for i, wi in zip(rows, w) if wi > 0.0])
     return mu, float(res.fun)
 
 

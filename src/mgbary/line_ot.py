@@ -227,9 +227,9 @@ def _merged_breaks(qs: Sequence[QuantileFn]) -> list[float]:
     return sorted(ts)
 
 
-def _cell_values(q: QuantileFn, t0: float, t1: float) -> tuple[float, float]:
-    """Values of ``q`` at the ends of a cell lying inside one of its segments."""
-    starts = [s[0] for s in q.segments]
+def _cell_values(q: QuantileFn, starts, t0: float, t1: float) -> tuple[float, float]:
+    """Values of ``q`` at the ends of a cell lying inside one of its segments,
+    whose starts are ``starts``."""
     i = bisect_right(starts, t0) - 1
     s0, s1, v0, v1 = q.segments[i]
     def at(t):
@@ -254,11 +254,12 @@ def w2_line_squared(m1: LineMeasure, m2: LineMeasure) -> float:
     union of both breakpoint partitions.
     """
     q1, q2 = quantile(m1), quantile(m2)
+    s1, s2 = ([s[0] for s in q.segments] for q in (q1, q2))
     total = 0.0
     breaks = _merged_breaks((q1, q2))
     for t0, t1 in zip(breaks, breaks[1:]):
-        a0, a1 = _cell_values(q1, t0, t1)
-        b0, b1 = _cell_values(q2, t0, t1)
+        a0, a1 = _cell_values(q1, s1, t0, t1)
+        b0, b1 = _cell_values(q2, s2, t0, t1)
         total += _sq_integral(a0 - b0, a1 - b1, t1 - t0)
     return total
 
@@ -273,13 +274,14 @@ def average_quantile(problem: Sequence[tuple[float, LineMeasure]]) -> QuantileFn
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
     qs = [quantile(m) for _, m in problem]
+    starts = [[s[0] for s in q.segments] for q in qs]
     breaks = _merged_breaks(qs)
     segs = []
     for t0, t1 in zip(breaks, breaks[1:]):
         v0 = 0.0
         v1 = 0.0
-        for lam, q in zip(lams, qs):
-            a0, a1 = _cell_values(q, t0, t1)
+        for lam, q, st in zip(lams, qs, starts):
+            a0, a1 = _cell_values(q, st, t0, t1)
             v0 += lam * a0
             v1 += lam * a1
         segs.append((t0, t1, v0, max(v0, v1)))
@@ -305,6 +307,7 @@ def dispersion(problem: Sequence[tuple[float, LineMeasure]]) -> float:
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
     qs = [quantile(m) for _, m in problem]
+    starts = [[s[0] for s in q.segments] for q in qs]
     breaks = _merged_breaks(qs)
     total = 0.0
     for t0, t1 in zip(breaks, breaks[1:]):
@@ -312,8 +315,8 @@ def dispersion(problem: Sequence[tuple[float, LineMeasure]]) -> float:
         second = 0.0
         mean0 = 0.0
         mean1 = 0.0
-        for lam, q in zip(lams, qs):
-            a0, a1 = _cell_values(q, t0, t1)
+        for lam, q, st in zip(lams, qs, starts):
+            a0, a1 = _cell_values(q, st, t0, t1)
             second += lam * _sq_integral(a0, a1, width)
             mean0 += lam * a0
             mean1 += lam * a1

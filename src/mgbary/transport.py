@@ -299,6 +299,21 @@ def _coupling_lp(costs, targets, source=None):
     return np.concatenate(c), a_eq, np.concatenate(b)
 
 
+def _weight_reduced_costs(costs, y: np.ndarray) -> np.ndarray:
+    """Reduced cost of the barycenter weight at every row x of ``costs`` under
+    the duals ``y`` of a sourceless :func:`_coupling_lp` on some of its rows,
+    extended by the c-transform: ``sum_i min_j (costs[i][x, j] - beta_i[j]) - z``,
+    ``beta_i`` coupling i's column-sum duals and ``z`` the unit-mass row's."""
+    n = (len(y) - 1 - sum(cost.shape[1] for cost in costs)) // len(costs)
+    total = np.full(costs[0].shape[0], -y[-1])
+    row0 = 0
+    for cost in costs:
+        k = cost.shape[1]
+        total += np.min(cost - y[row0 + n : row0 + n + k], axis=1)
+        row0 += n + k
+    return total
+
+
 def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
     """The solution ``x`` of a solved :func:`_coupling_lp`, entries below
     ``LP_ZERO_TOL`` zeroed, once it meets every equation (each coupling's

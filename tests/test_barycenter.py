@@ -1,7 +1,9 @@
+import logging
 import math
 import random
 
 import pytest
+from scipy.optimize import linprog
 
 from mgbary import (
     GraphPoint,
@@ -11,6 +13,8 @@ from mgbary import (
     SupportCapError,
     average_quantile,
     barycenter_problem,
+    build_graph,
+    candidate_support,
     clamp_quantile,
     discrete_measure,
     discrete_to_graph_measure,
@@ -29,7 +33,15 @@ from mgbary import (
     w2_graph,
     w2_line,
 )
-from conftest import make_segment, make_triangle, make_tripod, tripod_outer_halves
+from mgbary.transport import _accepted, _cost_matrix, _coupling_lp
+from conftest import (
+    make_segment,
+    make_skewed_square,
+    make_square_with_chord,
+    make_triangle,
+    make_tripod,
+    tripod_outer_halves,
+)
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -109,6 +121,113 @@ class TestSolveLP:
         monkeypatch.setenv("MGBARY_SUPPORT_CAP", "100")  # 16 cells pass, 1,300 LP variables do not
         with pytest.raises(SupportCapError, match="LP variables, above the cap 100"):
             solve_lp(problem)
+
+
+def _dense_reference(problem):
+    """The joint LP over every candidate of the grid, solved and accepted as
+    ``solve_lp`` accepts an LP: the measure's weights by point, and the value."""
+    g = problem.graph
+    support = candidate_support(problem)
+    targets = [(lam, discretize(g, nu, problem.grid)) for lam, nu in problem.measures]
+    c, a_eq, b_eq = _coupling_lp(
+        [lam * _cost_matrix(g, support, t.points) for lam, t in targets],
+        [t.weights for _, t in targets],
+    )
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+    w = _accepted(res, c, a_eq, b_eq)[: len(support)]
+    w /= w.sum()
+    return {p: float(wi) for p, wi in zip(support, w) if wi > 0.0}, float(res.fun)
+
+
+def _pieces_problem(make, inputs, grid):
+    g = make()
+    return barycenter_problem(
+        g, [(w, graph_measure(g, pieces=[piece])) for w, piece in inputs], grid
+    )
+
+
+def _grid_graph(n):
+    """n x n grid of vertices, edge lengths between 0.5 and 1.5."""
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            for eid, di, dj in (("h", 0, 1), ("d", 1, 0)):
+                if i + di < n and j + dj < n:
+                    length = 0.5 + ((7 * i + 3 * j + di) % 11) / 10
+                    edges.append(
+                        {"id": f"{eid}{i}_{j}", "u": f"v{i}_{j}",
+                         "v": f"v{i + di}_{j + dj}", "length": length}
+                    )
+    return build_graph(
+        {"vertices": [f"v{i}_{j}" for i in range(n) for j in range(n)], "edges": edges}
+    )
+
+
+# on the chord problems pricing adds candidates to the seeded set, and a
+# solve_lp that skips pricing misses their optimum
+CHORD_INPUTS = [
+    (0.4, ("q41", 0.05, 0.6, 1 / 0.55)),
+    (0.35, ("q34", 0.4, 0.7, 1 / 0.3)),
+    (0.25, ("q13", 0.1, 0.5, 1 / 0.4)),
+]
+DENSE_REFERENCE_PROBLEMS = {
+    "tripod-16": (make_tripod, [(1 / 3, (f"b{i}", 0.5, 1.0, 2.0)) for i in (1, 2, 3)], 1 / 16),
+    "tripod-32": (make_tripod, [(1 / 3, (f"b{i}", 0.5, 1.0, 2.0)) for i in (1, 2, 3)], 1 / 32),
+    "tripod-64": (make_tripod, [(0.2, ("b1", 0.5, 1.0, 2.0)), (0.3, ("b2", 0.5, 1.0, 2.0)),
+                                (0.5, ("b3", 0.5, 1.0, 2.0))], 1 / 64),
+    "triangle": (make_triangle, [(0.25, ("e_AC", 0.3, 0.95, 1 / 0.65)),
+                                 (0.25, ("e_AB", 0.0, 0.6, 1 / 0.6)),
+                                 (0.5, ("e_AC", 0.3, 1.0, 1 / 0.7))], 1 / 32),
+    "square_with_chord": (make_square_with_chord, CHORD_INPUTS, 1 / 32),
+    # seeded from the answer at 1/32
+    "square_with_chord-64": (make_square_with_chord, CHORD_INPUTS, 1 / 64),
+    "square_with_chord-2": (make_square_with_chord, [(0.4, ("q23", 0.05, 0.45, 1 / 0.4)),
+                                                     (0.6, ("q41", 0.1, 0.6, 1 / 0.5))], 1 / 32),
+    "skewed_square": (make_skewed_square, [(0.45, ("k_CD", 0.4, 0.75, 1 / 0.35)),
+                                           (0.3, ("k_DA", 0.95, 1.85, 1 / 0.9)),
+                                           (0.25, ("k_DA", 0.4, 1.35, 1 / 0.95))], 1 / 32),
+    # twice the spacing keeps more than 2/3 of the candidates, so no grid
+    # seeds these from a coarser answer
+    "grid10-0.5": (lambda: _grid_graph(10), [(0.3, ("h2_3", 0.1, 0.4, 1 / 0.3)),
+                                              (0.3, ("d5_5", 0.0, 0.5, 2.0)),
+                                              (0.4, ("h8_1", 0.2, 0.5, 1 / 0.3))], 0.5),
+    "grid10-2": (lambda: _grid_graph(10), [(0.5, ("d0_0", 0.0, 0.5, 2.0)),
+                                            (0.5, ("h9_8", 0.0, 0.5, 2.0))], 2.0),
+}
+
+
+class TestSolveLpMatchesDense:
+    @pytest.mark.parametrize("name", list(DENSE_REFERENCE_PROBLEMS))
+    def test_matches_the_lp_over_every_candidate(self, name):
+        problem = _pieces_problem(*DENSE_REFERENCE_PROBLEMS[name])
+        weights, value = _dense_reference(problem)
+        mu, got = solve_lp(problem)
+        assert abs(got - value) <= 1e-12 * abs(value)
+        assert set(mu.points) == set(weights)
+        assert max(abs(w - weights[p]) for p, w in zip(mu.points, mu.weights)) <= 1e-15
+
+    def test_each_level_is_logged(self, caplog):
+        problem = _pieces_problem(make_square_with_chord, CHORD_INPUTS, 1 / 64)
+        with caplog.at_level(logging.DEBUG, logger="mgbary"):
+            solve_lp(problem)
+        levels = [r.args for r in caplog.records if r.name == "mgbary"]
+        # grid, candidates, final |S|, LP rounds, smallest slack off S
+        assert [grid for grid, *_ in levels] == [1 / 32, 1 / 64]
+        assert [count for _, count, *_ in levels] == [
+            len(candidate_support(barycenter_problem(problem.graph, problem.measures, grid)))
+            for grid, *_ in levels
+        ]
+        assert all(size <= count and slack >= 0.0 for _, count, size, _, slack in levels)
+        assert max(rounds for *_, rounds, _ in levels) >= 2  # pricing added candidates
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_fine_tripod_grid(self, n):
+        g = make_tripod()
+        h = 1 / n
+        mu, value = solve_lp(barycenter_problem(g, tripod_outer_halves(g), h))
+        expected = 7 / 12 - h * h / 12
+        assert abs(value - expected) <= 1e-12 * expected
+        assert mu.points == (V("o"),) and mu.weights == (1.0,)
 
 
 class TestClampQuantile:
