@@ -32,22 +32,22 @@ from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
     GraphMeasure,
-    _accepted,
     _check_size,
     _cost_matrix,
     _coupling_lp,
-    _distance_matrix,
     _edge_cells,
+    _solved,
     _weight_reduced_costs,
     discrete_measure,
     discretize,
     graph_measure,
     w2_graph,
 )
-from .tolerances import CELL_NUDGE, LENGTH_TOL, REL_TOL, SNAP_TOL
+from .tolerances import CELL_NUDGE, REL_TOL, SNAP_TOL
 from .tolerances import _check_grid, _check_threshold, _check_weights
 
 _log = logging.getLogger("mgbary")
+SEED_SIZE = 16  # candidates of solve_lp's first LP
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,9 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     set S. Extended to every other candidate by the c-transform, its duals
     price the weight there; when no reduced cost is below ``-REL_TOL * max(1,
     max cost)`` they are feasible for the whole grid's LP at the same value,
-    so S's optimum is the grid's. Otherwise the worst candidates join S. On
-    a grid of more than ``COARSEN_ABOVE`` candidates whose coarsening to
-    twice the spacing leaves at most 2/3 of them, S starts within two cells
-    of the answer there; else at the best Dirac positions. The cap still
-    counts every candidate against every input cell.
+    so S's optimum is the grid's. Otherwise the worst candidates join S. S
+    starts at the ``SEED_SIZE`` best Dirac positions. The cap still counts
+    every candidate against every input cell.
 
     Raises
     ------
@@ -129,39 +127,22 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
         If the solver fails, a coupling's marginals drift beyond ``MARGINAL_TOL``,
         or the duals do not certify the solution optimal.
     """
-    return _solve_priced(problem)
-
-
-SEED_SIZE = 16  # candidates of the coarsest level's first LP
-# below this many candidates, seeding by Dirac positions and pricing costs
-# less than solving the coarser grids first
-COARSEN_ABOVE = 256
-
-
-def _solve_priced(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
-    """:func:`solve_lp`, also at each coarser grid that seeds it."""
-    g, h = problem.graph, problem.grid
+    g = problem.graph
     support = candidate_support(problem)
     targets = _targets(problem)
     n = len(support)
     _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
     costs = [lam * _cost_matrix(g, support, t.points) for lam, t in targets]
     weights = [t.weights for _, t in targets]
-    coarse = BarycenterProblem(g, problem.measures, 2 * h)
-    if n > COARSEN_ABOVE and 3 * len(candidate_support(coarse)) <= 2 * n:
-        seed, _ = _solve_priced(coarse)
-        near = _distance_matrix(g, support, seed.points).min(axis=1)
-        rows = np.flatnonzero(near <= 2 * h + LENGTH_TOL)
-    else:
-        dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
-        rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
+    dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
+    rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
     tol = REL_TOL * max(1.0, max(float(cost.max()) for cost in costs))
     rounds = 0
     while True:
         rounds += 1
         c, a_eq, b_eq = _coupling_lp([cost[rows] for cost in costs], weights)
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
-        w = _accepted(res, c, a_eq, b_eq)[: len(rows)]
+        res, x = _solved(linprog, c, a_eq, b_eq)
+        w = x[: len(rows)]
         slack = _weight_reduced_costs(costs, res.eqlin.marginals)
         slack[rows] = np.inf
         worst = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
@@ -171,7 +152,7 @@ def _solve_priced(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
         rows = np.union1d(rows, worst)
     _log.debug(
         "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, min slack off S %r",
-        h, len(support), len(rows), rounds, float(slack.min()),
+        problem.grid, n, len(rows), rounds, float(slack.min()),
     )
     w /= w.sum()
     mu = discrete_measure(g, [(support[i], float(wi)) for i, wi in zip(rows, w) if wi > 0.0])

@@ -35,7 +35,7 @@ from .metric_graph import (
     is_edge_minimizing,
     parse_point,
 )
-from .tolerances import LENGTH_TOL, LP_ZERO_TOL, MARGINAL_TOL, MASS_TOL, REL_TOL
+from .tolerances import HIGHS_TIGHT_TOL, LENGTH_TOL, LP_ZERO_TOL, MARGINAL_TOL, MASS_TOL, REL_TOL
 from .tolerances import _check_grid, _check_unit_mass, _finite, _merge_atoms, _piece_values
 
 DEFAULT_SUPPORT_CAP = 2_000_000
@@ -338,6 +338,29 @@ def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
     return x
 
 
+def _solved(linprog, c: np.ndarray, a_eq, b_eq: np.ndarray):
+    """A :func:`_coupling_lp` solved by HiGHS (interior point, crossover to a
+    vertex) through ``linprog``, the caller's module binding: the result and
+    its :func:`_accepted` solution. An answer that fails acceptance is solved
+    once more with HiGHS's feasibility and optimality tolerances at
+    ``HIGHS_TIGHT_TOL``, and only that answer's failure is raised."""
+    def solve(**options):
+        return linprog(
+            c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm", options=options
+        )
+
+    res = solve()
+    try:
+        return res, _accepted(res, c, a_eq, b_eq)
+    except SolverConsistencyError:
+        res = solve(
+            primal_feasibility_tolerance=HIGHS_TIGHT_TOL,
+            dual_feasibility_tolerance=HIGHS_TIGHT_TOL,
+            ipm_optimality_tolerance=HIGHS_TIGHT_TOL,
+        )
+        return res, _accepted(res, c, a_eq, b_eq)
+
+
 def w2_graph(
     g: MetricGraph, m1: DiscreteMeasure, m2: DiscreteMeasure
 ) -> tuple[float, TransportPlan]:
@@ -372,8 +395,7 @@ def w2_graph(
     _check_size(n * k, "LP variables")
     costs = _cost_matrix(g, m1.points, m2.points)
     c, a_eq, b_eq = _coupling_lp([costs], [m2.weights], m1.weights)
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
-    x = _accepted(res, c, a_eq, b_eq).reshape(n, k)
+    x = _solved(linprog, c, a_eq, b_eq)[1].reshape(n, k)
 
     entries = [
         (m1.points[i], m2.points[j], float(x[i, j]))

@@ -33,6 +33,7 @@ from mgbary import (
     w2_graph,
     w2_line,
 )
+from mgbary.tolerances import REL_TOL
 from mgbary.transport import _accepted, _cost_matrix, _coupling_lp
 from conftest import (
     make_segment,
@@ -123,16 +124,21 @@ class TestSolveLP:
             solve_lp(problem)
 
 
-def _dense_reference(problem):
-    """The joint LP over every candidate of the grid, solved and accepted as
-    ``solve_lp`` accepts an LP: the measure's weights by point, and the value."""
+def _full_lp(problem):
+    """Candidates, cost matrices and input weights of the joint LP over every
+    candidate of the grid."""
     g = problem.graph
     support = candidate_support(problem)
     targets = [(lam, discretize(g, nu, problem.grid)) for lam, nu in problem.measures]
-    c, a_eq, b_eq = _coupling_lp(
-        [lam * _cost_matrix(g, support, t.points) for lam, t in targets],
-        [t.weights for _, t in targets],
-    )
+    costs = [lam * _cost_matrix(g, support, t.points) for lam, t in targets]
+    return support, costs, [t.weights for _, t in targets]
+
+
+def _dense_reference(problem):
+    """The joint LP over every candidate of the grid, solved and accepted as
+    ``solve_lp`` accepts an LP: the measure's weights by point, and the value."""
+    support, costs, weights = _full_lp(problem)
+    c, a_eq, b_eq = _coupling_lp(costs, weights)
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
     w = _accepted(res, c, a_eq, b_eq)[: len(support)]
     w /= w.sum()
@@ -178,16 +184,21 @@ DENSE_REFERENCE_PROBLEMS = {
     "triangle": (make_triangle, [(0.25, ("e_AC", 0.3, 0.95, 1 / 0.65)),
                                  (0.25, ("e_AB", 0.0, 0.6, 1 / 0.6)),
                                  (0.5, ("e_AC", 0.3, 1.0, 1 / 0.7))], 1 / 32),
+    # HiGHS's first answer to one restricted LP fails the dual certificate;
+    # the re-solve at tight tolerances is accepted
+    "triangle-resolved": (make_triangle, [
+        (0.22567852167246386, ("e_AC", 0.2629049061311682, 0.8822880155780949, 1.6145096382963078)),
+        (0.2646002182037707, ("e_AB", 0.012137432095470045, 0.5867562359833648, 1.740284155746311)),
+        (0.5097212601237654, ("e_AC", 0.31987572546580145, 1.0, 1.4703195245969967)),
+    ], 1 / 32),
     "square_with_chord": (make_square_with_chord, CHORD_INPUTS, 1 / 32),
-    # seeded from the answer at 1/32
     "square_with_chord-64": (make_square_with_chord, CHORD_INPUTS, 1 / 64),
     "square_with_chord-2": (make_square_with_chord, [(0.4, ("q23", 0.05, 0.45, 1 / 0.4)),
                                                      (0.6, ("q41", 0.1, 0.6, 1 / 0.5))], 1 / 32),
     "skewed_square": (make_skewed_square, [(0.45, ("k_CD", 0.4, 0.75, 1 / 0.35)),
                                            (0.3, ("k_DA", 0.95, 1.85, 1 / 0.9)),
                                            (0.25, ("k_DA", 0.4, 1.35, 1 / 0.95))], 1 / 32),
-    # twice the spacing keeps more than 2/3 of the candidates, so no grid
-    # seeds these from a coarser answer
+    # vertices and one cell per edge: many candidates however coarse the grid
     "grid10-0.5": (lambda: _grid_graph(10), [(0.3, ("h2_3", 0.1, 0.4, 1 / 0.3)),
                                               (0.3, ("d5_5", 0.0, 0.5, 2.0)),
                                               (0.4, ("h8_1", 0.2, 0.5, 1 / 0.3))], 0.5),
@@ -206,19 +217,18 @@ class TestSolveLpMatchesDense:
         assert set(mu.points) == set(weights)
         assert max(abs(w - weights[p]) for p, w in zip(mu.points, mu.weights)) <= 1e-15
 
-    def test_each_level_is_logged(self, caplog):
+    def test_solve_is_logged(self, caplog):
         problem = _pieces_problem(make_square_with_chord, CHORD_INPUTS, 1 / 64)
         with caplog.at_level(logging.DEBUG, logger="mgbary"):
             solve_lp(problem)
-        levels = [r.args for r in caplog.records if r.name == "mgbary"]
-        # grid, candidates, final |S|, LP rounds, smallest slack off S
-        assert [grid for grid, *_ in levels] == [1 / 32, 1 / 64]
-        assert [count for _, count, *_ in levels] == [
-            len(candidate_support(barycenter_problem(problem.graph, problem.measures, grid)))
-            for grid, *_ in levels
-        ]
-        assert all(size <= count and slack >= 0.0 for _, count, size, _, slack in levels)
-        assert max(rounds for *_, rounds, _ in levels) >= 2  # pricing added candidates
+        records = [r.args for r in caplog.records if r.name == "mgbary"]
+        assert len(records) == 1
+        grid, count, size, rounds, slack = records[0]
+        support, costs, _ = _full_lp(problem)
+        tol = REL_TOL * max(1.0, max(float(cost.max()) for cost in costs))
+        assert grid == 1 / 64 and count == len(support)
+        assert size <= count and slack >= -tol  # the certificate solve_lp accepts
+        assert rounds >= 2  # pricing added candidates
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_fine_tripod_grid(self, n):

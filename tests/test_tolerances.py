@@ -25,6 +25,7 @@ from mgbary import (
     solve_lp,
     w2_graph,
 )
+from mgbary.tolerances import HIGHS_TIGHT_TOL
 from conftest import make_tripod, tripod_outer_halves
 
 V = GraphPoint.at_vertex
@@ -169,6 +170,25 @@ class TestSolveLpChecksItsCertificate:
         monkeypatch.setattr(module, "linprog", lambda c, **kwargs: wrapper(real, c, **kwargs))
         with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
             solve()
+
+    @pytest.mark.parametrize("solver", ["_solve_lp", "_w2_graph"])
+    def test_failed_answer_is_solved_once_more_at_tight_tolerances(self, monkeypatch, solver):
+        module, solve = getattr(self, solver)()
+        real = module.linprog
+        value = float(solve()[1 if solver == "_solve_lp" else 0])
+        options = []
+
+        def first_shifted(c, **kwargs):
+            options.append(kwargs["options"])
+            if len(options) == 1:
+                return self._shifted_duals(real, c, **kwargs)
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(module, "linprog", first_shifted)
+        got = float(solve()[1 if solver == "_solve_lp" else 0])
+        assert abs(got - value) <= 1e-12 * value
+        assert options[0] == {} and len(options[1]) == 3
+        assert set(options[1].values()) == {HIGHS_TIGHT_TOL}
 
 
 # masses, bounds and densities: half of them values that can add up to a
