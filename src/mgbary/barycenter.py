@@ -132,7 +132,9 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     targets = _targets(problem)
     n = len(support)
     _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
-    costs = [lam * _cost_matrix(g, support, t.points) for lam, t in targets]
+    ends = np.cumsum([len(t.points) for _, t in targets])[:-1]
+    full = _cost_matrix(g, support, [p for _, t in targets for p in t.points])
+    costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, ends, axis=1))]
     weights = [t.weights for _, t in targets]
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
     rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])

@@ -1,10 +1,10 @@
 """Finite metric graphs: length distance, geodesic paths, and cut points.
 
 Edges are intervals glued at vertices; the distance between two points is the
-infimum of path lengths. All distances here are computed exactly from a
-vertex-to-vertex shortest-path table plus closed-form handling of the at most
-two ways an interior point can exit its edge, so there is no discretization
-error anywhere in this module.
+infimum of path lengths. All distances here are computed exactly from
+vertex-to-vertex shortest-path rows, each made on first use, plus closed-form
+handling of the at most two ways an interior point can exit its edge, so there
+is no discretization error anywhere in this module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_array
 
 from .errors import GraphValidationError
 from .tolerances import LENGTH_TOL, REL_TOL, SNAP_TOL
@@ -94,11 +94,14 @@ class GeodesicPath:
 
 
 class MetricGraph:
-    """A validated, immutable metric graph with a precomputed vertex-distance table.
+    """A validated, immutable metric graph with a vertex-distance table filled on demand.
 
-    Instances are built through :func:`build_graph`. All public attributes are
-    read-only by convention; operations in this module are pure functions, so
-    sharing a graph across threads is safe.
+    Instances are built through :func:`build_graph`, in O(E log E) time and
+    O(E) memory. All public attributes are read-only by convention. A table row is one Dijkstra run
+    over the CSR adjacency, made when a query first reads it and then kept, so
+    memory is O(V x rows touched). Sharing a graph across threads is safe: a
+    row is stored whole before its key appears, and racing threads compute
+    the same floats.
     """
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
@@ -115,16 +118,28 @@ class MetricGraph:
         }
         self.min_edge_length = min(e.length for e in edges)
         self._index = {v: i for i, v in enumerate(vertices)}
-        # one table cell per vertex pair: a parallel pair enters by its shortest edge
-        lengths = np.full((len(vertices), len(vertices)), np.inf)
-        for e in edges:
-            i, j = self._index[e.u], self._index[e.v]
-            lengths[i, j] = lengths[j, i] = min(lengths[i, j], e.length)
-        self._table = csgraph.dijkstra(lengths)
-        self._minimizing = {
-            e.id: self.vertex_distance(e.u, e.v) >= e.length - REL_TOL * max(1.0, e.length)
-            for e in edges
-        }
+        # the CSR csgraph_from_dense makes of the symmetric length matrix:
+        # sorted columns, the shortest of parallel edges, so rows keep its bits
+        n = len(vertices)
+        a, b = np.array([(self._index[e.u], self._index[e.v]) for e in edges]).T
+        keys = np.concatenate([a * n + b, b * n + a])
+        lengths = np.tile([e.length for e in edges], 2)
+        order = np.lexsort((lengths, keys))
+        keys, first = np.unique(keys[order], return_index=True)
+        self._csr = csr_array((lengths[order][first], (keys // n, keys % n)), shape=(n, n))
+        self._rows: dict[int, np.ndarray] = {}
+
+    def _row(self, i: int) -> np.ndarray:
+        row = self._rows.get(i)
+        return self._table_rows([i])[0] if row is None else row
+
+    def _table_rows(self, idx: list[int]) -> np.ndarray:
+        """The len(idx) x V block of rows; one Dijkstra call makes those missing."""
+        missing = [i for i in idx if i not in self._rows]
+        if missing:
+            for i, row in zip(missing, csgraph.dijkstra(self._csr, indices=missing)):
+                self._rows[i] = row  # the row is written before its key appears
+        return np.array([self._rows[i] for i in idx]).reshape(len(idx), len(self.vertices))
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -136,7 +151,7 @@ class MetricGraph:
         return v in self._adj
 
     def vertex_distance(self, a: str, b: str) -> float:
-        return self._table.item(self._index[a], self._index[b])
+        return self._row(self._index[a]).item(self._index[b])
 
     def canonical(self, p: GraphPoint) -> GraphPoint:
         """Return the unique canonical representation of ``p`` on this graph."""
@@ -245,7 +260,7 @@ def build_graph(spec: Mapping) -> MetricGraph:
         raise GraphValidationError(f"isolated vertices (degree 0): {isolated}")
 
     g = MetricGraph(vertices, edges_t)
-    missing = sorted(v for v, d in zip(vertices, g._table[0]) if d == math.inf)
+    missing = sorted(v for v, d in zip(vertices, g._row(0)) if d == math.inf)
     if missing:
         raise GraphValidationError(f"graph is disconnected; unreachable vertices: {missing}")
     return g
@@ -282,8 +297,9 @@ def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     if x.edge is not None and x.edge == y.edge:
         cands.append(abs(y.offset - x.offset))
     for c1, w1, _ in _exits(g, x):
+        row = g._row(g._index[w1])
         for c2, w2, _ in _exits(g, y):
-            cands.append((c1 + g._table.item(g._index[w1], g._index[w2])) + c2)
+            cands.append((c1 + row.item(g._index[w2])) + c2)
     return min(cands)
 
 
@@ -356,8 +372,8 @@ def path_segment_lengths(g: MetricGraph, path: GeodesicPath) -> tuple[float, ...
 
 def is_edge_minimizing(g: MetricGraph, edge_id: str) -> bool:
     """True iff the distance between the edge's endpoints equals its length."""
-    g.edge(edge_id)
-    return g._minimizing[edge_id]
+    e = g.edge(edge_id)
+    return g.vertex_distance(e.u, e.v) >= e.length - REL_TOL * max(1.0, e.length)
 
 
 def cut_points_from(g: MetricGraph, v: str) -> list[tuple[str, float]]:

@@ -243,14 +243,16 @@ def _distance_matrix(
 
     cx, vx, ex, ox, rx = encode(xs)
     cy, vy, ey, oy, ry = encode(ys)
-    table = g._table
+    sources = np.unique(np.concatenate([vx, vy]))  # exit vertices whose rows are read
+    table = g._table_rows(sources.tolist())
+    sx, sy = np.searchsorted(sources, vx), np.searchsorted(sources, vy)
     x_first = rx[:, None] < ry[None, :]
     d = np.full((len(xs), len(ys)), np.inf)
     for a in range(2):
-        c1, w1 = cx[:, a, None], vx[:, a, None]
+        c1, w1, s1 = cx[:, a, None], vx[:, a, None], sx[:, a, None]
         for b in range(2):
-            c2, w2 = cy[None, :, b], vy[None, :, b]
-            route = np.where(x_first, (c1 + table[w1, w2]) + c2, (c2 + table[w2, w1]) + c1)
+            c2, w2, s2 = cy[None, :, b], vy[None, :, b], sy[None, :, b]
+            route = np.where(x_first, (c1 + table[s1, w2]) + c2, (c2 + table[s2, w1]) + c1)
             np.minimum(d, route, out=d)
     same_edge = (ex[:, None] == ey[None, :]) & (ex[:, None] >= 0)
     d = np.where(same_edge, np.minimum(d, np.abs(oy[None, :] - ox[:, None])), d)
@@ -381,15 +383,10 @@ def w2_graph(
         or the duals do not certify the plan optimal.
     """
     n, k = len(m1.points), len(m2.points)
-    if n == 1:
-        x = m1.points[0]
-        entries = [(x, y, w) for y, w in zip(m2.points, m2.weights)]
-        plan = _make_plan(g, entries)
-        return plan.cost, plan
-    if k == 1:
-        y = m2.points[0]
-        entries = [(x, y, w) for x, w in zip(m1.points, m1.weights)]
-        plan = _make_plan(g, entries)
+    if n == 1 or k == 1:  # the only coupling: the many side's weights
+        pairs = [(x, y) for x in m1.points for y in m2.points]
+        weights = m2.weights if n == 1 else m1.weights
+        plan = _make_plan(g, [(x, y, w) for (x, y), w in zip(pairs, weights)])
         return plan.cost, plan
 
     _check_size(n * k, "LP variables")

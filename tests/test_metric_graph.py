@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
+import mgbary.metric_graph
 from mgbary import (
     GraphPoint,
     GraphValidationError,
@@ -21,6 +24,7 @@ from conftest import (
     make_segment,
     make_skewed_square,
     make_square,
+    make_square_with_chord,
     make_triangle,
     make_tripod,
     random_point,
@@ -349,3 +353,88 @@ class TestMetricAxioms:
             assert d == 0.0
         else:
             assert d > 0.0
+
+
+def _spec(g):
+    return {
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in g.edges],
+    }
+
+
+def _grid_graph(n, seed):
+    """n x n grid of vertices, edge lengths drawn from [0.5, 1.5]."""
+    rng = random.Random(seed)
+    edges = []
+
+    def add(eid, u, v):
+        edges.append({"id": eid, "u": u, "v": v, "length": rng.uniform(0.5, 1.5)})
+
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                add(f"h{i}_{j}", f"v{i}_{j}", f"v{i}_{j + 1}")
+            if i + 1 < n:
+                add(f"d{i}_{j}", f"v{i}_{j}", f"v{i + 1}_{j}")
+    return {"vertices": sorted({e[k] for e in edges for k in ("u", "v")}), "edges": edges}
+
+
+def _dense_table(spec):
+    """The all-pairs table as a dense symmetric length matrix gives it, vertices in spec order."""
+    index = {v: i for i, v in enumerate(spec["vertices"])}
+    lengths = np.full((len(index), len(index)), np.inf)
+    for e in spec["edges"]:
+        i, j = index[e["u"]], index[e["v"]]
+        lengths[i, j] = lengths[j, i] = min(lengths[i, j], e["length"])
+    return csgraph.dijkstra(lengths)
+
+
+REFERENCE_SPECS = [
+    _spec(make_triangle()),
+    _spec(make_tripod()),
+    _spec(make_square()),
+    _spec(make_skewed_square()),
+    _spec(make_square_with_chord()),
+    _spec(make_parallel(1.0, 3.0)),
+    _spec(make_parallel(3.0, 1.0)),
+    _grid_graph(7, 1),
+    _grid_graph(16, 2),
+]
+
+
+class TestVertexTable:
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_matches_dense_dijkstra_bit_for_bit(self, spec):
+        dense = _dense_table(spec)
+        names = spec["vertices"]
+        # rows filled in row-major order, then on a fresh graph column-major
+        g = build_graph(spec)
+        row_major = [[g.vertex_distance(a, b) for b in names] for a in names]
+        g = build_graph(spec)
+        col_major = [[g.vertex_distance(a, b) for a in names] for b in names]
+        assert np.array_equal(np.array(row_major), dense)
+        assert np.array_equal(np.array(col_major).T, dense)
+
+    def test_tiny_edge_is_an_edge(self):
+        # a dense matrix read as a graph drops entries within 1e-8 of 0
+        spec = _spec(make_tripod())
+        spec["edges"][1]["length"] = 1e-9
+        g = build_graph(spec)
+        assert g.vertex_distance("o", "t2") == 1e-9
+        assert is_edge_minimizing(g, "b2")
+
+    def test_rows_are_computed_on_demand(self, monkeypatch):
+        rows = []
+        dijkstra = csgraph.dijkstra
+
+        def counted(graph, *args, indices=None, **kwargs):
+            rows.append(graph.shape[0] if indices is None else np.size(indices))
+            return dijkstra(graph, *args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(mgbary.metric_graph.csgraph, "dijkstra", counted)
+        g = build_graph(_grid_graph(30, 3))
+        distance(g, E("h10_10", 0.25), E("d20_15", 0.5))
+        assert sum(rows) <= 5
+        built = sum(rows)
+        is_edge_minimizing(g, "h3_7")
+        assert sum(rows) <= built + 1
