@@ -33,6 +33,7 @@ from .transport import (
     DiscreteMeasure,
     GraphMeasure,
     _check_size,
+    _certificate_tol,
     _cost_matrix,
     _coupling_lp,
     _edge_cells,
@@ -43,7 +44,7 @@ from .transport import (
     graph_measure,
     w2_graph,
 )
-from .tolerances import CELL_NUDGE, REL_TOL, SNAP_TOL
+from .tolerances import CELL_NUDGE, SNAP_TOL
 from .tolerances import _check_grid, _check_threshold, _check_weights
 
 _log = logging.getLogger("mgbary")
@@ -138,7 +139,7 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     weights = [t.weights for _, t in targets]
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
     rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
-    tol = REL_TOL * max(1.0, max(float(cost.max()) for cost in costs))
+    tol = max(_certificate_tol(cost) for cost in costs)
     rounds = 0
     while True:
         rounds += 1

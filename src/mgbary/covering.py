@@ -8,7 +8,10 @@ lands below 0. Which map applies to which mass is read off an optimal plan
 from the base measure, decomposed by geodesic class. When every base point
 gives a target the same class, every optimal plan sends that target through
 that one map, so no plan is solved unless some target's class depends on the
-base point.
+base point. That plan is itself solved on the line by
+:func:`~mgbary.transport.w2_graph`, since the base measure lies on one edge,
+and reaches HiGHS only when its dual certificate fails or the base holds no
+interior point of the edge.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def make_cover_context(
         oe = OrientedEdge(oe)
     _require_minimizing(g, oe)
     for p in base.points:
-        if g.oriented_offset(oe, p) is None:
+        if g._offset(oe, p) is None:
             raise MeasureValidationError(
                 f"base measure has mass at {p}, off edge {oe.edge!r}"
             )
@@ -219,7 +222,7 @@ def measure_on_edge_as_line(
         oe = OrientedEdge(oe)
     atoms = []
     for p, w in zip(m.points, m.weights):
-        off = g.oriented_offset(oe, p)
+        off = g._offset(oe, p)
         if off is None:
             raise MeasureValidationError(f"point {p} is not on edge {oe.edge!r}")
         atoms.append((off, w))

@@ -122,8 +122,9 @@ class MetricGraph:
         # sorted columns, the shortest of parallel edges, so rows keep its bits
         n = len(vertices)
         a, b = np.array([(self._index[e.u], self._index[e.v]) for e in edges]).T
+        self._edge_ends, self._edge_lengths = (a, b), np.array([e.length for e in edges])
         keys = np.concatenate([a * n + b, b * n + a])
-        lengths = np.tile([e.length for e in edges], 2)
+        lengths = np.tile(self._edge_lengths, 2)
         order = np.lexsort((lengths, keys))
         keys, first = np.unique(keys[order], return_index=True)
         self._csr = csr_array((lengths[order][first], (keys // n, keys % n)), shape=(n, n))
@@ -181,8 +182,11 @@ class MetricGraph:
         Endpoint vertices map to 0 and the edge length; for a vertex incident
         to both ends of a parallel pair the first endpoint wins.
         """
+        return self._offset(oe, self.canonical(p))
+
+    def _offset(self, oe: OrientedEdge, p: GraphPoint) -> float | None:
+        """:meth:`oriented_offset` of a point that is canonical already."""
         e = self.edge(oe.edge)
-        p = self.canonical(p)
         e0, e1 = self.oriented_endpoints(oe)
         if p.vertex is not None:
             if p.vertex == e0:
@@ -383,16 +387,14 @@ def cut_points_from(g: MetricGraph, v: str) -> list[tuple[str, float]]:
     through ``a`` and the route through ``b`` are equally short; it is emitted
     whenever it falls strictly inside the edge. Both route values then realize
     the true distance, since any path to an interior point enters through one
-    of the endpoints.
+    of the endpoints. The points come in edge id order.
     """
     if not g.has_vertex(v):
         raise ValueError(f"unknown vertex id {v!r}")
-    out = []
-    for e in g.edges:
-        t = 0.5 * (g.vertex_distance(v, e.v) - g.vertex_distance(v, e.u) + e.length)
-        if SNAP_TOL < t < e.length - SNAP_TOL:
-            out.append((e.id, t))
-    return sorted(out)
+    row, (a, b), lengths = g._row(g._index[v]), g._edge_ends, g._edge_lengths
+    t = 0.5 * (row[b] - row[a] + lengths)
+    inside = np.flatnonzero((SNAP_TOL < t) & (t < lengths - SNAP_TOL))
+    return [(g.edges[i].id, t) for i, t in zip(inside.tolist(), t[inside].tolist())]
 
 
 def parse_point(g: MetricGraph, literal: str) -> GraphPoint:

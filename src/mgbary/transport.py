@@ -9,10 +9,13 @@ reuse them directly.
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,6 +41,7 @@ from .metric_graph import (
 from .tolerances import HIGHS_TIGHT_TOL, LENGTH_TOL, LP_ZERO_TOL, MARGINAL_TOL, MASS_TOL, REL_TOL
 from .tolerances import _check_grid, _check_unit_mass, _finite, _merge_atoms, _piece_values
 
+_log = logging.getLogger("mgbary")
 DEFAULT_SUPPORT_CAP = 2_000_000
 SUPPORT_CAP_ENV = "MGBARY_SUPPORT_CAP"
 
@@ -217,16 +221,14 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
 def _distance_matrix(
     g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
 ) -> np.ndarray:
-    """``distance(g, x, y)`` for every pair of points.
+    """``distance(g, x, y)`` for every pair of canonical points.
 
     Bit for bit the floats of :func:`distance`: each pair takes the minimum of
     ``(c1 + D[w1, w2]) + c2`` over its at most 2 x 2 exit pairs, summed from
     the canonically first point (the vertex table is not bit-symmetric), then
     the same-edge segment; equal points are 0.
     """
-    xs = [g.canonical(p) for p in xs]
-    ys = [g.canonical(p) for p in ys]
-    rank = {k: r for r, k in enumerate(sorted({p.sort_key() for p in xs + ys}))}
+    rank = {k: r for r, k in enumerate(sorted({p.sort_key() for p in [*xs, *ys]}))}
     edge_index = {e.id: i for i, e in enumerate(g.edges)}
 
     def encode(points):
@@ -316,6 +318,11 @@ def _weight_reduced_costs(costs, y: np.ndarray) -> np.ndarray:
     return total
 
 
+def _certificate_tol(c: np.ndarray) -> float:
+    """Slack of the dual certificate of a coupling LP of costs ``c``."""
+    return REL_TOL * max(1.0, float(c.max()))
+
+
 def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
     """The solution ``x`` of a solved :func:`_coupling_lp`, entries below
     ``LP_ZERO_TOL`` zeroed, once it meets every equation (each coupling's
@@ -330,7 +337,7 @@ def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
     if not residual <= MARGINAL_TOL:
         raise SolverConsistencyError(f"plan marginal residual {residual!r} exceeds {MARGINAL_TOL}")
     y = res.eqlin.marginals
-    tol = REL_TOL * max(1.0, float(c.max()))
+    tol = _certificate_tol(c)
     reduced = float(np.min(c - a_eq.T @ y))
     gap = abs(float(c @ res.x) - float(b_eq @ y))
     if not (reduced >= -tol and gap <= tol):
@@ -363,6 +370,146 @@ def _solved(linprog, c: np.ndarray, a_eq, b_eq: np.ndarray):
         return res, _accepted(res, c, a_eq, b_eq)
 
 
+def _line_edge(g: MetricGraph, m1: DiscreteMeasure, m2: DiscreteMeasure):
+    """When ``m1`` lies on the closure of one minimizing edge (u, v), the edge
+    of its interior points: (u, v), its length, and the offsets along it of
+    ``m1``'s and ``m2``'s points (NaN off the edge); else None."""
+    edges = {p.edge for p in m1.points} - {None}
+    if len(edges) != 1 or not is_edge_minimizing(g, min(edges)):
+        return None
+    oe, e = OrientedEdge(min(edges)), g.edge(min(edges))
+    a, on = (np.array([g._offset(oe, p) for p in m.points], dtype=float) for m in (m1, m2))
+    return None if np.isnan(a).any() else ((e.u, e.v), e.length, a, on)
+
+
+def _nw_cells(src: np.ndarray, dst: np.ndarray):
+    """Cells ``(i, j, mass)`` of the north-west-corner coupling of two weight
+    vectors on sorted atoms, given as their cumulative sums."""
+    breaks = np.sort(np.concatenate([src, dst]))
+    starts = np.concatenate([[0.0], breaks[:-1]])
+    i = np.minimum(np.searchsorted(src, starts, side="right"), len(src) - 1)
+    j = np.minimum(np.searchsorted(dst, starts, side="right"), len(dst) - 1)
+    return i, j, breaks - starts
+
+
+def _argmin_convex(f, count: int) -> int:
+    """The first index of a least value of ``f`` over ``range(count)``, by
+    bisection on the sign of its steps: exact when ``f`` is convex."""
+    lo, hi = 0, count - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if f(mid + 1) < f(mid) else (lo, mid)
+    return lo
+
+
+def _unfolded_plan(length, a, on, ends, p, q) -> np.ndarray:
+    """A coupling, n by k, of sources of weights ``p`` at offsets ``a`` on a
+    minimizing edge (u, v) of ``length`` and targets of weights ``q``.
+
+    A target at edge offset ``on`` (NaN off the edge) keeps it. Any other
+    target y has the two images ``-d(u, y)`` and ``length + d(v, y)``, from
+    the 2 by k ``ends``; the left ones are filled in decreasing order of the
+    images' midpoint up to a mass theta. A target whose midpoint is at or
+    beyond an end of the edge (within ``LENGTH_TOL``) is as near through that
+    end from every source, so theta takes all of the first kind and none of
+    the second. theta minimizes the squared W2 of the sources to the unfolded
+    atoms, which is piecewise linear in theta: first by bisection over the
+    targets' cumulative weights, then over the kinks of the two bracketing
+    targets, where an unfolded cumulative weight meets a source's. The plan is
+    the north-west corner at that theta, entries below ``LP_ZERO_TOL``
+    dropped. On a cycle the other targets' images are one perimeter apart and
+    the midpoint order is exact; elsewhere only the caller's certificate tells.
+    """
+    p, q = np.asarray(p), np.asarray(q)
+    off, stay = np.flatnonzero(np.isnan(on)), np.flatnonzero(~np.isnan(on))
+    left, right = -ends[0], length + ends[1]
+    key = -0.5 * (left + right)[off]  # the midpoints negated, so largest first
+    fill, key = off[np.argsort(key, kind="stable")], np.sort(key)
+    m, qf = len(fill), q[fill]
+    lo = int(np.searchsorted(key, LENGTH_TOL - length, side="right"))  # all left
+    hi = max(lo, int(np.searchsorted(key, -LENGTH_TOL)))  # none left from hi on
+    pos = np.concatenate([left[fill], right[fill], on[stay]])
+    perm = np.argsort(pos, kind="stable")
+    rank = np.argsort(perm)
+    target, pos = np.concatenate([fill, fill, stay])[perm], pos[perm]
+    order = np.argsort(a, kind="stable")
+    src, cum = a[order], np.cumsum(p[order])
+
+    def unfolded(t: int, delta: float) -> np.ndarray:
+        """Cumulative unfolded weights with the first t targets left, delta of the next."""
+        s = np.where(np.arange(m) < t, qf, 0.0)
+        if t < m:
+            s[t] = delta
+        return np.cumsum(np.concatenate([s, qf - s, q[stay]])[perm])
+
+    @functools.lru_cache(maxsize=None)
+    def cost(t: int, delta: float) -> float:
+        i, j, mass = _nw_cells(cum, unfolded(t, delta))
+        return float(mass @ (src[i] - pos[j]) ** 2)
+
+    t = lo + _argmin_convex(lambda t: cost(lo + t, 0.0), hi - lo + 1)
+    best = (cost(t, 0.0), t, 0.0)
+    for t in (t - 1, t):
+        if lo <= t < hi:  # kinks of bracket t: atoms in [left, right) of fill[t] meet cum
+            kinks = cum[:, None] - unfolded(t, 0.0)[None, rank[t] : rank[m + t]]
+            kinks = np.unique(np.concatenate([[0.0, qf[t]], kinks[(kinks > 0) & (kinks < qf[t])]]))
+            kinks = kinks[np.diff(kinks, prepend=-np.inf) > LP_ZERO_TOL]  # one per rounded kink
+            delta = kinks[_argmin_convex(lambda j: cost(t, kinks[j]), len(kinks))]
+            best = min(best, (cost(t, delta), t, delta))
+    i, j, mass = _nw_cells(cum, unfolded(*best[1:]))
+    x = np.zeros((len(a), len(q)))
+    np.add.at(x, (order[i], target[j]), mass)
+    return np.where(x < LP_ZERO_TOL, 0.0, x)
+
+
+def _support_duals(costs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Duals of a plan ``x`` in :func:`_coupling_lp` row order, n row sums
+    then k column sums, made tight on its support.
+
+    On each connected component of the support, ``u_x + psi_y = costs[x, y]``
+    along a spanning tree; then one shift per component, found by a
+    Bellman-Ford pass over the components' least cross reduced costs, keeps
+    every reduced cost above ``-tol / 2``. ``SolverConsistencyError`` when a
+    support cycle is off by more than ``tol / 2`` or the shifts meet a
+    negative cycle.
+    """
+    n, k = costs.shape
+    tol = _certificate_tol(costs)
+    rows, cols = np.nonzero(x)
+    links: list[list[int]] = [[] for _ in range(n + k)]  # sources 0..n-1, then targets
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        links[i].append(n + j)
+        links[n + j].append(i)
+    label, pot, count = [-1] * (n + k), [0.0] * (n + k), 0
+    for root in range(n + k):  # breadth first over each component
+        if label[root] < 0:
+            label[root], queue = count, [root]
+            for v in queue:
+                for w in links[v]:
+                    if label[w] < 0:
+                        label[w], pot[w] = count, costs.item(min(v, w), max(v, w) - n) - pot[v]
+                        queue.append(w)
+            count += 1
+    label, pot = np.array(label), np.array(pot)
+    reduced = costs - pot[:n, None] - pot[None, n:]
+    residual = float(np.max(np.abs(reduced[rows, cols])))
+    if not residual <= tol / 2:
+        raise SolverConsistencyError(f"support cycle residual {residual!r} exceeds {tol / 2!r}")
+    lx, ly = label[:n], label[n:]
+    # least[a, b]: least reduced cost from component a's sources to component b's
+    # targets; a point without plan mass is a component of its own
+    least = np.full((count, count), np.inf)
+    np.minimum.at(least, (lx[:, None], ly[None, :]), reduced + tol / 2)
+    shift = np.zeros(count)  # shift[a] - shift[b] <= least[a, b]
+    for _ in range(count + 1):
+        relaxed = np.minimum(shift, np.min(shift[None, :] + least, axis=1))
+        if (relaxed == shift).all():
+            return np.concatenate([pot[:n] + shift[lx], pot[n:] - shift[ly]])
+        shift = relaxed
+    worst = float(np.min(reduced - shift[lx][:, None] + shift[ly][None, :]))
+    raise SolverConsistencyError(f"component shifts meet a negative cycle, worst reduced cost {worst!r}")
+
+
 def w2_graph(
     g: MetricGraph, m1: DiscreteMeasure, m2: DiscreteMeasure
 ) -> tuple[float, TransportPlan]:
@@ -370,9 +517,13 @@ def w2_graph(
 
     Solves the transportation linear program
     ``min sum pi(x, y) d(x, y)^2`` over couplings of the two weight vectors
-    exactly; the returned cost is the squared distance. HiGHS solves it by
-    interior point with crossover to a vertex, deterministic for identical
-    inputs, which pins down one optimal plan when several exist.
+    exactly; the returned cost is the squared distance. When ``m1`` lies on
+    the closure of one minimizing edge (the edge of its interior points), the
+    plan of :func:`_unfolded_plan` on the line is tried first, with duals
+    from :func:`_support_duals`. Otherwise, or when that answer fails
+    :func:`_accepted` (logged at DEBUG level on the ``mgbary`` logger), HiGHS
+    solves the LP by interior point with crossover to a vertex. Both answers
+    are deterministic for identical inputs.
 
     Raises
     ------
@@ -390,9 +541,24 @@ def w2_graph(
         return plan.cost, plan
 
     _check_size(n * k, "LP variables")
-    costs = _cost_matrix(g, m1.points, m2.points)
+    line = _line_edge(g, m1, m2)
+    ends = [] if line is None else [GraphPoint.at_vertex(v) for v in line[0]]
+    d = _distance_matrix(g, ends + list(m1.points), m2.points)
+    costs = np.float_power(d[len(ends) :], 2)  # _cost_matrix, bit for bit
     c, a_eq, b_eq = _coupling_lp([costs], [m2.weights], m1.weights)
-    x = _solved(linprog, c, a_eq, b_eq)[1].reshape(n, k)
+    x = None
+    if line is not None:
+        x = _unfolded_plan(*line[1:], d[:2], m1.weights, m2.weights)
+        try:
+            y = _support_duals(costs, x)
+            answer = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
+            x = _accepted(answer, c, a_eq, b_eq)
+        except SolverConsistencyError as exc:
+            _log.debug("w2_graph: line route falls back to HiGHS, n %d, k %d: %s", n, k, exc)
+            x = None
+    if x is None:
+        x = _solved(linprog, c, a_eq, b_eq)[1]
+    x = x.reshape(n, k)
 
     entries = [
         (m1.points[i], m2.points[j], float(x[i, j]))
@@ -420,14 +586,14 @@ def _require_minimizing(g: MetricGraph, oe: OrientedEdge):
 def _branch_table(
     g: MetricGraph, oe: OrientedEdge, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rule of :func:`classify_pair` for every pair of sources ``xs`` on
-    the base edge and targets ``ys``: the n by k indices into ``tuple(BranchTag)``,
+    """The rule of :func:`classify_pair` for every pair of canonical sources
+    ``xs`` on the base edge and targets ``ys``: the n by k indices into ``tuple(BranchTag)``,
     and the 2 by k distances from the oriented endpoints ``e0``, ``e1``."""
     _require_minimizing(g, oe)
-    ax = np.array([g.oriented_offset(oe, x) for x in xs], dtype=float)[:, None]
+    ax = np.array([g._offset(oe, x) for x in xs], dtype=float)[:, None]
     if np.isnan(ax).any():
         raise ValueError(f"source {xs[np.argmax(np.isnan(ax))]} is off edge {oe.edge!r}")
-    ay = np.array([g.oriented_offset(oe, y) for y in ys], dtype=float)  # NaN off the edge
+    ay = np.array([g._offset(oe, y) for y in ys], dtype=float)  # NaN off the edge
     e0, e1 = (GraphPoint.at_vertex(v) for v in g.oriented_endpoints(oe))
     d = _distance_matrix(g, [e0, e1, *xs], ys)
     ends, reach = d[:2], d[2:] + LENGTH_TOL
@@ -456,7 +622,7 @@ def classify_pair(
     Ties resolve with priority E > PLUS > MINUS, so measures living on the
     edge always classify as E.
     """
-    tags, _ = _branch_table(g, oe, [x], [y])
+    tags, _ = _branch_table(g, oe, [g.canonical(x)], [g.canonical(y)])
     return tuple(BranchTag)[tags[0, 0]]
 
 
