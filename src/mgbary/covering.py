@@ -8,10 +8,11 @@ lands below 0. Which map applies to which mass is read off an optimal plan
 from the base measure, decomposed by geodesic class. When every base point
 gives a target the same class, every optimal plan sends that target through
 that one map, so no plan is solved unless some target's class depends on the
-base point. That plan is itself solved on the line by
-:func:`~mgbary.transport.w2_graph`, since the base measure lies on one edge,
-and reaches HiGHS only when its dual certificate fails or the base holds no
-interior point of the edge.
+base point. The classes, the images and that plan's costs all come from one
+distance build, the edge frame of :mod:`mgbary.transport`; the plan is solved
+on the same line as :func:`~mgbary.transport.w2_graph` solves it, and reaches
+HiGHS only when its dual certificate fails or the base holds no interior
+point of the edge.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .transport import (
     DiscreteMeasure,
     _branch_table,
     _check_size,
-    _indexed,
+    _optimal_coupling,
     _require_minimizing,
-    w2_graph,
 )
 from .tolerances import LENGTH_TOL
 
@@ -102,17 +102,16 @@ def phi(ctx: CoverContext, nu: DiscreteMeasure) -> LineMeasure:
     """
     g = ctx.graph
     n, k = len(ctx.base.points), len(nu.points)
-    if n > 1 and k > 1:  # the size w2_graph refuses, before the table is built
+    if n > 1 and k > 1:  # the size the plan's LP refuses, before the table is built
         _check_size(n * k, "LP variables")
-    tags, ends = _branch_table(g, ctx.edge, ctx.base.points, nu.points)
-    length = g.edge(ctx.edge.edge).length  # per target, as h_eval: E, PLUS, MINUS
-    images = np.stack([ends[0], length + ends[1], -ends[0]]).T.tolist()
+    tags, images, frame = _branch_table(g, ctx.edge, ctx.base.points, nu.points)
+    images = images.T.tolist()  # per target: E, PLUS, MINUS
     if (tags == tags[0]).all():
-        pairs = zip(range(len(nu.points)), tags[0], nu.weights)
+        pairs = zip(range(k), tags[0], nu.weights)
     else:
-        _, plan = w2_graph(g, ctx.base, nu)
-        rows, cols = _indexed(ctx.base.points), _indexed(nu.points)
-        pairs = ((cols[y], tags[rows[x], cols[y]], m) for x, y, m in plan.entries)
+        costs = np.float_power(frame[3][2:], 2)
+        x = _optimal_coupling(costs, ctx.base.weights, nu.weights, frame)
+        pairs = ((j, tags[i, j], float(x[i, j])) for i, j in zip(*np.nonzero(x)))
     groups: dict[int, dict[int, float]] = {}
     for j, tag, mass in pairs:
         bucket = groups.setdefault(j, {})
@@ -165,19 +164,15 @@ def preimage_count(ctx: CoverContext, tag: BranchTag, x_tilde: float) -> int:
     r = x_tilde - e.length if tag is BranchTag.PLUS else -x_tilde
     if r < 0.0:
         return 0
-    w = _anchor_vertex(ctx, tag)
-    count = 0
-    for f in g.edges:
-        if f.id == e.id:
-            continue
-        du, dv = g.vertex_distance(w, f.u), g.vertex_distance(w, f.v)
-        t_rise = r - du
-        if 0.0 < t_rise < f.length and du + t_rise < dv + (f.length - t_rise):
-            count += 1
-        t_fall = dv + f.length - r
-        if 0.0 < t_fall < f.length and dv + (f.length - t_fall) < du + t_fall:
-            count += 1
-    return count
+    row = g._row(g._index[_anchor_vertex(ctx, tag)])
+    (a, b), lengths = g._edge_ends, g._edge_lengths
+    du, dv = row[a], row[b]  # the anchor's distances to every edge's ends
+    t_rise, t_fall = r - du, dv + lengths - r
+    rise = (0.0 < t_rise) & (t_rise < lengths) & (du + t_rise < dv + (lengths - t_rise))
+    fall = (0.0 < t_fall) & (t_fall < lengths) & (dv + (lengths - t_fall) < du + t_fall)
+    base = [f.id for f in g.edges].index(e.id)  # counted under E only
+    rise[base] = fall[base] = False
+    return int(np.count_nonzero(rise) + np.count_nonzero(fall))
 
 
 def lift_line_plan(

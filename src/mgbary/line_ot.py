@@ -218,13 +218,13 @@ def measure_from_quantile(q: QuantileFn) -> LineMeasure:
     return line_measure(atoms=atoms, pieces=pieces)
 
 
-def _merged_breaks(qs: Sequence[QuantileFn]) -> list[float]:
-    ts = {0.0, 1.0}
-    for q in qs:
-        for t0, t1, _, _ in q.segments:
-            ts.add(t0)
-            ts.add(t1)
-    return sorted(ts)
+def _cells(qs: Sequence[QuantileFn]):
+    """Walk the merged breakpoint partition of ``qs``: per cell ``(t0, t1,
+    [(a0, a1) per quantile])``, each ``q``'s values at the cell's ends."""
+    starts = [[s[0] for s in q.segments] for q in qs]
+    breaks = sorted({0.0, 1.0, *(t for q in qs for s in q.segments for t in s[:2])})
+    for t0, t1 in zip(breaks, breaks[1:]):
+        yield t0, t1, [_cell_values(q, st, t0, t1) for q, st in zip(qs, starts)]
 
 
 def _cell_values(q: QuantileFn, starts, t0: float, t1: float) -> tuple[float, float]:
@@ -253,13 +253,8 @@ def w2_line_squared(m1: LineMeasure, m2: LineMeasure) -> float:
     Computed as the exact integral of the squared quantile difference over the
     union of both breakpoint partitions.
     """
-    q1, q2 = quantile(m1), quantile(m2)
-    s1, s2 = ([s[0] for s in q.segments] for q in (q1, q2))
     total = 0.0
-    breaks = _merged_breaks((q1, q2))
-    for t0, t1 in zip(breaks, breaks[1:]):
-        a0, a1 = _cell_values(q1, s1, t0, t1)
-        b0, b1 = _cell_values(q2, s2, t0, t1)
+    for t0, t1, ((a0, a1), (b0, b1)) in _cells((quantile(m1), quantile(m2))):
         total += _sq_integral(a0 - b0, a1 - b1, t1 - t0)
     return total
 
@@ -273,15 +268,11 @@ def average_quantile(problem: Sequence[tuple[float, LineMeasure]]) -> QuantileFn
     """Weighted average of the quantile functions of the given measures."""
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
-    qs = [quantile(m) for _, m in problem]
-    starts = [[s[0] for s in q.segments] for q in qs]
-    breaks = _merged_breaks(qs)
     segs = []
-    for t0, t1 in zip(breaks, breaks[1:]):
+    for t0, t1, values in _cells([quantile(m) for _, m in problem]):
         v0 = 0.0
         v1 = 0.0
-        for lam, q, st in zip(lams, qs, starts):
-            a0, a1 = _cell_values(q, st, t0, t1)
+        for lam, (a0, a1) in zip(lams, values):
             v0 += lam * a0
             v1 += lam * a1
         segs.append((t0, t1, v0, max(v0, v1)))
@@ -306,17 +297,13 @@ def dispersion(problem: Sequence[tuple[float, LineMeasure]]) -> float:
     """
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
-    qs = [quantile(m) for _, m in problem]
-    starts = [[s[0] for s in q.segments] for q in qs]
-    breaks = _merged_breaks(qs)
     total = 0.0
-    for t0, t1 in zip(breaks, breaks[1:]):
+    for t0, t1, values in _cells([quantile(m) for _, m in problem]):
         width = t1 - t0
         second = 0.0
         mean0 = 0.0
         mean1 = 0.0
-        for lam, q, st in zip(lams, qs, starts):
-            a0, a1 = _cell_values(q, st, t0, t1)
+        for lam, (a0, a1) in zip(lams, values):
             second += lam * _sq_integral(a0, a1, width)
             mean0 += lam * a0
             mean1 += lam * a1

@@ -370,16 +370,15 @@ def _solved(linprog, c: np.ndarray, a_eq, b_eq: np.ndarray):
         return res, _accepted(res, c, a_eq, b_eq)
 
 
-def _line_edge(g: MetricGraph, m1: DiscreteMeasure, m2: DiscreteMeasure):
-    """When ``m1`` lies on the closure of one minimizing edge (u, v), the edge
-    of its interior points: (u, v), its length, and the offsets along it of
-    ``m1``'s and ``m2``'s points (NaN off the edge); else None."""
-    edges = {p.edge for p in m1.points} - {None}
-    if len(edges) != 1 or not is_edge_minimizing(g, min(edges)):
-        return None
-    oe, e = OrientedEdge(min(edges)), g.edge(min(edges))
-    a, on = (np.array([g._offset(oe, p) for p in m.points], dtype=float) for m in (m1, m2))
-    return None if np.isnan(a).any() else ((e.u, e.v), e.length, a, on)
+def _edge_frame(g: MetricGraph, edge_id: str, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):
+    """The unfolding's view of canonical ``xs`` and ``ys`` from the edge
+    (u, v) along its stored orientation: its length, the offsets from u of
+    ``xs`` and of ``ys`` (NaN off the edge), and the one
+    :func:`_distance_matrix` over ``[u, v, *xs]`` by ``ys``."""
+    oe, e = OrientedEdge(edge_id), g.edge(edge_id)
+    a, on = (np.array([g._offset(oe, p) for p in pts], dtype=float) for pts in (xs, ys))
+    ends = [GraphPoint.at_vertex(e.u), GraphPoint.at_vertex(e.v)]
+    return e.length, a, on, _distance_matrix(g, [*ends, *xs], ys)
 
 
 def _nw_cells(src: np.ndarray, dst: np.ndarray):
@@ -402,14 +401,15 @@ def _argmin_convex(f, count: int) -> int:
     return lo
 
 
-def _unfolded_plan(length, a, on, ends, p, q) -> np.ndarray:
-    """A coupling, n by k, of sources of weights ``p`` at offsets ``a`` on a
-    minimizing edge (u, v) of ``length`` and targets of weights ``q``.
+def _unfolded_plan(frame, p, q) -> np.ndarray:
+    """A coupling, n by k, of sources of weights ``p`` and targets of weights
+    ``q`` seen in the :func:`_edge_frame` ``(length, a, on, d)`` of a
+    minimizing edge (u, v), every source on it at its offset ``a``.
 
     A target at edge offset ``on`` (NaN off the edge) keeps it. Any other
     target y has the two images ``-d(u, y)`` and ``length + d(v, y)``, from
-    the 2 by k ``ends``; the left ones are filled in decreasing order of the
-    images' midpoint up to a mass theta. A target whose midpoint is at or
+    the first two rows of ``d``; the left ones are filled in decreasing order
+    of the images' midpoint up to a mass theta. A target whose midpoint is at or
     beyond an end of the edge (within ``LENGTH_TOL``) is as near through that
     end from every source, so theta takes all of the first kind and none of
     the second. theta minimizes the squared W2 of the sources to the unfolded
@@ -420,9 +420,10 @@ def _unfolded_plan(length, a, on, ends, p, q) -> np.ndarray:
     dropped. On a cycle the other targets' images are one perimeter apart and
     the midpoint order is exact; elsewhere only the caller's certificate tells.
     """
+    length, a, on, d = frame
     p, q = np.asarray(p), np.asarray(q)
     off, stay = np.flatnonzero(np.isnan(on)), np.flatnonzero(~np.isnan(on))
-    left, right = -ends[0], length + ends[1]
+    left, right = -d[0], length + d[1]
     key = -0.5 * (left + right)[off]  # the midpoints negated, so largest first
     fill, key = off[np.argsort(key, kind="stable")], np.sort(key)
     m, qf = len(fill), q[fill]
@@ -510,6 +511,30 @@ def _support_duals(costs: np.ndarray, x: np.ndarray) -> np.ndarray:
     raise SolverConsistencyError(f"component shifts meet a negative cycle, worst reduced cost {worst!r}")
 
 
+def _optimal_coupling(costs: np.ndarray, p, q, frame=None) -> np.ndarray:
+    """An optimal n by k coupling of weights ``p`` and ``q`` under the squared
+    distances ``costs``: the only one when n or k is 1. When the
+    :func:`_edge_frame` of these points holds every source, one strictly
+    inside the edge, the plan of :func:`_unfolded_plan` with duals from
+    :func:`_support_duals` is tried first; otherwise, or when it fails
+    :func:`_accepted` (logged at DEBUG level on the ``mgbary`` logger),
+    HiGHS solves the LP by :func:`_solved`."""
+    n, k = costs.shape
+    if n == 1 or k == 1:  # the only coupling: the many side's weights
+        return np.array(q if n == 1 else p, dtype=float).reshape(n, k)
+    c, a_eq, b_eq = _coupling_lp([costs], [q], p)
+    length, a = (0.0, np.array([np.nan])) if frame is None else frame[:2]
+    if not np.isnan(a).any() and ((0.0 < a) & (a < length)).any():  # all on it, one inside
+        x = _unfolded_plan(frame, p, q)
+        try:
+            y = _support_duals(costs, x)
+            answer = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
+            return _accepted(answer, c, a_eq, b_eq).reshape(n, k)
+        except SolverConsistencyError as exc:
+            _log.debug("line route falls back to HiGHS, n %d, k %d: %s", n, k, exc)
+    return _solved(linprog, c, a_eq, b_eq)[1].reshape(n, k)
+
+
 def w2_graph(
     g: MetricGraph, m1: DiscreteMeasure, m2: DiscreteMeasure
 ) -> tuple[float, TransportPlan]:
@@ -518,12 +543,11 @@ def w2_graph(
     Solves the transportation linear program
     ``min sum pi(x, y) d(x, y)^2`` over couplings of the two weight vectors
     exactly; the returned cost is the squared distance. When ``m1`` lies on
-    the closure of one minimizing edge (the edge of its interior points), the
-    plan of :func:`_unfolded_plan` on the line is tried first, with duals
-    from :func:`_support_duals`. Otherwise, or when that answer fails
-    :func:`_accepted` (logged at DEBUG level on the ``mgbary`` logger), HiGHS
-    solves the LP by interior point with crossover to a vertex. Both answers
-    are deterministic for identical inputs.
+    the closure of one minimizing edge (the edge of its interior points), its
+    :func:`_edge_frame` gives the costs, and :func:`_optimal_coupling` tries
+    the plan on the unfolded line before HiGHS; otherwise HiGHS solves the LP
+    by interior point with crossover to a vertex. Both answers are
+    deterministic for identical inputs.
 
     Raises
     ------
@@ -534,32 +558,15 @@ def w2_graph(
         or the duals do not certify the plan optimal.
     """
     n, k = len(m1.points), len(m2.points)
-    if n == 1 or k == 1:  # the only coupling: the many side's weights
-        pairs = [(x, y) for x in m1.points for y in m2.points]
-        weights = m2.weights if n == 1 else m1.weights
-        plan = _make_plan(g, [(x, y, w) for (x, y), w in zip(pairs, weights)])
-        return plan.cost, plan
-
-    _check_size(n * k, "LP variables")
-    line = _line_edge(g, m1, m2)
-    ends = [] if line is None else [GraphPoint.at_vertex(v) for v in line[0]]
-    d = _distance_matrix(g, ends + list(m1.points), m2.points)
-    costs = np.float_power(d[len(ends) :], 2)  # _cost_matrix, bit for bit
-    c, a_eq, b_eq = _coupling_lp([costs], [m2.weights], m1.weights)
-    x = None
-    if line is not None:
-        x = _unfolded_plan(*line[1:], d[:2], m1.weights, m2.weights)
-        try:
-            y = _support_duals(costs, x)
-            answer = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
-            x = _accepted(answer, c, a_eq, b_eq)
-        except SolverConsistencyError as exc:
-            _log.debug("w2_graph: line route falls back to HiGHS, n %d, k %d: %s", n, k, exc)
-            x = None
-    if x is None:
-        x = _solved(linprog, c, a_eq, b_eq)[1]
-    x = x.reshape(n, k)
-
+    frame = None
+    if n > 1 and k > 1:
+        _check_size(n * k, "LP variables")
+        edges = {p.edge for p in m1.points} - {None}
+        if len(edges) == 1 and is_edge_minimizing(g, min(edges)):
+            frame = _edge_frame(g, min(edges), m1.points, m2.points)
+    d = _distance_matrix(g, m1.points, m2.points) if frame is None else frame[3][2:]
+    costs = np.float_power(d, 2)  # _cost_matrix, bit for bit
+    x = _optimal_coupling(costs, m1.weights, m2.weights, frame)
     entries = [
         (m1.points[i], m2.points[j], float(x[i, j]))
         for i, j in zip(*np.nonzero(x))
@@ -585,19 +592,21 @@ def _require_minimizing(g: MetricGraph, oe: OrientedEdge):
 
 def _branch_table(
     g: MetricGraph, oe: OrientedEdge, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The rule of :func:`classify_pair` for every pair of canonical sources
-    ``xs`` on the base edge and targets ``ys``: the n by k indices into ``tuple(BranchTag)``,
-    and the 2 by k distances from the oriented endpoints ``e0``, ``e1``."""
+    ``xs`` on the base edge and targets ``ys``: the n by k indices into
+    ``tuple(BranchTag)``, the 3 by k images of the targets under the branch
+    maps of :func:`~mgbary.covering.h_eval` (E, PLUS, MINUS), and the
+    :func:`_edge_frame` they are read from, along the stored orientation."""
     _require_minimizing(g, oe)
-    ax = np.array([g._offset(oe, x) for x in xs], dtype=float)[:, None]
+    frame = _edge_frame(g, oe.edge, xs, ys)
+    length, ax, ay, d = frame
     if np.isnan(ax).any():
         raise ValueError(f"source {xs[np.argmax(np.isnan(ax))]} is off edge {oe.edge!r}")
-    ay = np.array([g._offset(oe, y) for y in ys], dtype=float)  # NaN off the edge
-    e0, e1 = (GraphPoint.at_vertex(v) for v in g.oriented_endpoints(oe))
-    d = _distance_matrix(g, [e0, e1, *xs], ys)
-    ends, reach = d[:2], d[2:] + LENGTH_TOL
-    length = g.edge(oe.edge).length
+    ends, ax = d[:2], ax[:, None]
+    if oe.reverse:  # what _offset gives on the reversed edge, bit for bit
+        ends, ax, ay = ends[::-1], length - ax, length - ay
+    reach = d[2:] + LENGTH_TOL
     matches = [
         np.abs(ay - ax) <= reach,
         (length - ax) + ends[1] <= reach,
@@ -609,7 +618,7 @@ def _branch_table(
         raise SolverConsistencyError(
             f"no geodesic class matches pair ({xs[i]}, {ys[j]}) on edge {oe.edge!r}"
         )
-    return tags, ends
+    return tags, np.stack([ends[0], length + ends[1], -ends[0]]), frame
 
 
 def classify_pair(
@@ -622,7 +631,7 @@ def classify_pair(
     Ties resolve with priority E > PLUS > MINUS, so measures living on the
     edge always classify as E.
     """
-    tags, _ = _branch_table(g, oe, [g.canonical(x)], [g.canonical(y)])
+    tags = _branch_table(g, oe, [g.canonical(x)], [g.canonical(y)])[0]
     return tuple(BranchTag)[tags[0, 0]]
 
 
@@ -636,7 +645,7 @@ def decompose_plan(
     """
     rows = _indexed(x for x, _, _ in plan.entries)
     cols = _indexed(y for _, y, _ in plan.entries)
-    tags, _ = _branch_table(g, oe, list(rows), list(cols))
+    tags = _branch_table(g, oe, list(rows), list(cols))[0]
     parts: list[list] = [[] for _ in BranchTag]
     for x, y, m in plan.entries:
         parts[tags[rows[x], cols[y]]].append((x, y, m))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import mgbary.covering
+import mgbary.transport
 from mgbary import (
     BranchTag,
     GraphPoint,
@@ -316,11 +317,13 @@ def plans_solved(monkeypatch):
     """Count the transport plans that ``phi`` solves."""
     calls = []
 
+    real = mgbary.covering._optimal_coupling
+
     def counted(*args):
         calls.append(args)
-        return w2_graph(*args)
+        return real(*args)
 
-    monkeypatch.setattr(mgbary.covering, "w2_graph", counted)
+    monkeypatch.setattr(mgbary.covering, "_optimal_coupling", counted)
     return calls
 
 
@@ -355,7 +358,7 @@ class TestPhiPlanFree:
         def refuse(*args):
             raise AssertionError("phi solved a transport plan")
 
-        monkeypatch.setattr(mgbary.covering, "w2_graph", refuse)
+        monkeypatch.setattr(mgbary.covering, "_optimal_coupling", refuse)
         base = random_measure_on_edge(tripod, "b1", random.Random(67))
         nu = discrete_measure(
             tripod, [(E("b2", 0.25), 0.5), (E("b3", 0.5), 0.25), (V("t1"), 0.25)]
@@ -376,6 +379,19 @@ class TestPhiPlanFree:
         assert image == line_measure(
             atoms=[(-1.0, to_c[E("e_AB", 0.2)]), (2.0, to_c[E("e_AB", 0.7)]), (0.9, 0.5)]
         )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_cut_case_builds_its_distances_once(self, triangle, monkeypatch, plans_solved, reverse):
+        # the classes, the images and the plan's costs share one distance build
+        builds = []
+        real = mgbary.transport._distance_matrix
+        monkeypatch.setattr(
+            mgbary.transport, "_distance_matrix", lambda *args: builds.append(1) or real(*args)
+        )
+        base = discrete_measure(triangle, [(E("e_AB", 0.2), 0.3), (E("e_AB", 0.7), 0.7)])
+        nu = discrete_measure(triangle, [(V("C"), 0.5), (E("e_AB", 0.9), 0.5)])
+        phi(make_cover_context(triangle, OrientedEdge("e_AB", reverse=reverse), base), nu)
+        assert len(plans_solved) == 1 and len(builds) == 1
 
     def test_support_above_the_cap_is_refused(self, tripod, monkeypatch):
         m = graph_measure(tripod, pieces=[("b1", 0.0, 1.0, 1.0)])

@@ -32,6 +32,7 @@ from mgbary import (
     discrete_measure,
     distance,
     graph_measure,
+    is_edge_minimizing,
     solve_edge_fixed_point,
     w2_graph,
 )
@@ -119,8 +120,18 @@ class _Recorder:
         return w2_graph(g, m1, m2)
 
 
+def _frame(g, m1, m2):
+    """The edge frame of ``m1``'s interior points' one edge, when it is
+    minimizing and holds all of ``m1``; else None."""
+    edges = {p.edge for p in m1.points} - {None}
+    if len(edges) != 1 or not is_edge_minimizing(g, min(edges)):
+        return None
+    frame = mgbary.transport._edge_frame(g, min(edges), m1.points, m2.points)
+    return None if np.isnan(frame[1]).any() else frame
+
+
 def _on_one_edge(g, m1, m2) -> bool:
-    return mgbary.transport._line_edge(g, m1, m2) is not None
+    return _frame(g, m1, m2) is not None
 
 
 class TestLineRouteMatchesTheLp:
@@ -182,11 +193,9 @@ def test_targets_nearer_through_one_end_are_sent_there(monkeypatch, h):
 
 def _line_cost(g, m1, m2) -> float:
     """The cost of the line route's plan, before any certificate."""
-    ends, length, offsets, on = mgbary.transport._line_edge(g, m1, m2)
-    points = [GraphPoint.at_vertex(v) for v in ends] + list(m1.points)
-    d = mgbary.transport._distance_matrix(g, points, m2.points)
-    x = mgbary.transport._unfolded_plan(length, offsets, on, d[:2], m1.weights, m2.weights)
-    return float(np.sum(x * d[2:] ** 2))
+    frame = _frame(g, m1, m2)
+    x = mgbary.transport._unfolded_plan(frame, m1.weights, m2.weights)
+    return float(np.sum(x * frame[3][2:] ** 2))
 
 
 def _missed_problem():
@@ -234,9 +243,9 @@ def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
     )
     recorder = _Recorder(monkeypatch)
     cut_cases = []
-    real_w2 = mgbary.covering.w2_graph
+    real = mgbary.covering._optimal_coupling
     monkeypatch.setattr(
-        mgbary.covering, "w2_graph", lambda *args: cut_cases.append(1) or real_w2(*args)
+        mgbary.covering, "_optimal_coupling", lambda *args: cut_cases.append(1) or real(*args)
     )
     for init in ("uniform", "vertex"):
         assert solve_edge_fixed_point(problem, "e_BC", init=init).converged
@@ -260,6 +269,47 @@ def test_cut_points_match_the_edge_loop(seed):
         got = cut_points_from(g, v)
         assert got == _cut_points_loop(g, v)
         assert all(type(eid) is str and type(t) is float for eid, t in got)
+
+
+def _preimage_count_loop(ctx, tag, x):
+    """``preimage_count`` past its exceptional-value check, edge by edge."""
+    g, e = ctx.graph, ctx.graph.edge(ctx.edge.edge)
+    if tag is mgbary.BranchTag.E:
+        return 1 if 0.0 < x < e.length else 0
+    r = x - e.length if tag is mgbary.BranchTag.PLUS else -x
+    if r < 0.0:
+        return 0
+    w = mgbary.covering._anchor_vertex(ctx, tag)
+    count = 0
+    for f in g.edges:
+        if f.id == e.id:
+            continue
+        du, dv = g.vertex_distance(w, f.u), g.vertex_distance(w, f.v)
+        t_rise = r - du
+        count += 0.0 < t_rise < f.length and du + t_rise < dv + (f.length - t_rise)
+        t_fall = dv + f.length - r
+        count += 0.0 < t_fall < f.length and dv + (f.length - t_fall) < du + t_fall
+    return count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_preimage_counts_match_the_edge_loop(seed):
+    g = _grid_graph(4 + seed, seed)
+    rng = random.Random(seed)
+    counted = 0
+    for e in rng.sample(list(g.edges), 3):
+        base = discrete_measure(g, [(GraphPoint.on_edge(e.id, 0.5 * e.length), 1.0)])
+        for reverse in (False, True):
+            ctx = mgbary.make_cover_context(g, mgbary.OrientedEdge(e.id, reverse), base)
+            for tag in mgbary.BranchTag:
+                for x in (rng.uniform(-6.0, 6.0) for _ in range(8)):
+                    try:
+                        got = mgbary.preimage_count(ctx, tag, x)
+                    except ValueError:  # within LENGTH_TOL of an exceptional value
+                        continue
+                    assert got == _preimage_count_loop(ctx, tag, x)
+                    counted += got > 1
+    assert counted > 0
 
 
 class TestPublicEntriesCanonicalize:
