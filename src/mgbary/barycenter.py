@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .covering import make_cover_context, measure_on_edge_as_line, phi
+from .covering import _unfold, measure_on_edge_as_line
 from .line_ot import (
     LineMeasure,
     QuantileFn,
@@ -32,6 +32,7 @@ from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
     GraphMeasure,
+    _branch_table,
     _check_size,
     _certificate_tol,
     _cost_matrix,
@@ -193,18 +194,27 @@ def clamp_quantile(q: QuantileFn, lo: float, hi: float) -> QuantileFn:
     return QuantileFn(tuple(segs))
 
 
+def _edge_grid(g: MetricGraph, oe: OrientedEdge, h: float) -> list[GraphPoint]:
+    """The points the fixed point's iterates live on: the oriented edge's
+    first and second endpoints, then the centers of its spacing-``h`` cells."""
+    e, (e0, e1) = g.edge(oe.edge), g.oriented_endpoints(oe)
+    n, width = _edge_cells(e.length, h)
+    centers = [GraphPoint.on_edge(e.id, g.flip_offset(oe, (k + 0.5) * width)) for k in range(n)]
+    return [GraphPoint.at_vertex(e0), GraphPoint.at_vertex(e1), *centers]
+
+
 def _project_line_to_edge_grid(
-    g: MetricGraph, oe: OrientedEdge, m: LineMeasure, h: float
+    g: MetricGraph, oe: OrientedEdge, m: LineMeasure, grid: list[GraphPoint]
 ) -> DiscreteMeasure:
-    """Project a measure on [0, length] onto the fixed cell grid of the edge.
+    """Project a measure on [0, length] onto the :func:`_edge_grid` of the edge.
 
     Mass at the exact endpoints goes to the endpoint vertices; interior mass
     goes to the center of its cell. Using one fixed grid keeps the fixed-point
     iteration inside a finite family of measures.
     """
     e = g.edge(oe.edge)
-    e0, e1 = g.oriented_endpoints(oe)
-    n, width = _edge_cells(e.length, h)
+    n = len(grid) - 2
+    width = e.length / n  # as _edge_cells gives it
     cell_mass = [0.0] * n
     v0_mass = 0.0
     v1_mass = 0.0
@@ -229,16 +239,8 @@ def _project_line_to_edge_grid(
             if hi > lo:
                 cell_mass[k] += d * (hi - lo)
 
-    pairs: list[tuple[GraphPoint, float]] = []
-    if v0_mass > 0.0:
-        pairs.append((GraphPoint.at_vertex(e0), v0_mass))
-    if v1_mass > 0.0:
-        pairs.append((GraphPoint.at_vertex(e1), v1_mass))
-    for k, mass in enumerate(cell_mass):
-        if mass > 0.0:
-            off = g.flip_offset(oe, (k + 0.5) * width)
-            pairs.append((GraphPoint.on_edge(e.id, off), mass))
-    return discrete_measure(g, pairs)
+    masses = [v0_mass, v1_mass, *cell_mass]
+    return discrete_measure(g, [(p, mass) for p, mass in zip(grid, masses) if mass > 0.0])
 
 
 def _pull_line_to_edge(
@@ -289,6 +291,14 @@ def solve_edge_fixed_point(
     Non-convergence within ``max_iter`` is reported honestly via the
     ``converged`` flag; the LP solver remains the ground truth. A NaN,
     infinite or negative ``eps`` raises ``ParseError``.
+
+    Every iterate lives on the edge's ends and cell centers, and the inputs
+    are discretized once, so the unfolding's distances and class table are
+    built once per call, over those points against every input's points.
+    Each round slices the rows of its iterate's support; a distance depends
+    only on its pair, so a slice holds the bits a build per round would.
+    A table of more entries than ``MGBARY_SUPPORT_CAP`` raises
+    ``SupportCapError`` before it is built.
     """
     if isinstance(oe, str):
         oe = OrientedEdge(oe)
@@ -297,18 +307,24 @@ def solve_edge_fixed_point(
     if eps is None:
         eps = 1e-6 * e.length
     _check_threshold(eps, "eps")
-    h = problem.grid
     targets = _targets(problem)
+    grid = _edge_grid(g, oe, problem.grid)
 
     if init == "uniform":
         mu = _project_line_to_edge_grid(
-            g, oe, LineMeasure(pieces=((0.0, e.length, 1.0 / e.length),)), h
+            g, oe, LineMeasure(pieces=((0.0, e.length, 1.0 / e.length),)), grid
         )
     elif init == "vertex":
-        e0, _ = g.oriented_endpoints(oe)
-        mu = discrete_measure(g, [(GraphPoint.at_vertex(e0), 1.0)])
+        mu = discrete_measure(g, [(grid[0], 1.0)])
     else:
         raise ValueError(f"unknown init {init!r}; use 'uniform' or 'vertex'")
+
+    points = [p for _, t in targets for p in t.points]
+    _check_size(len(grid) * len(points), "unfolding table entries")
+    tags, images, (length, a, on, d) = _branch_table(g, oe, grid, points)
+    ends = np.cumsum([len(t.points) for _, t in targets])[:-1]
+    tables = list(zip(*(np.split(x, ends, axis=-1) for x in (tags, images, on, d))))
+    row = {p: i for i, p in enumerate(grid)}
 
     prev_line = measure_on_edge_as_line(g, oe, mu)
     line_m = prev_line
@@ -316,11 +332,17 @@ def solve_edge_fixed_point(
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        ctx = make_cover_context(g, oe, mu)
-        unfolded = [(lam, phi(ctx, target)) for lam, target in targets]
+        rows = np.array([row[p] for p in mu.points])
+        unfolded = []
+        for (lam, target), (tags_k, images_k, on_k, d_k) in zip(targets, tables):
+            n, k = len(rows), len(target.points)
+            if n > 1 and k > 1:  # as phi refuses the plan's LP
+                _check_size(n * k, "LP variables")
+            table = tags_k[rows], images_k, (length, a[rows], on_k, d_k[np.r_[0, 1, rows + 2]])
+            unfolded.append((lam, _unfold(table, mu.weights, target.weights)))
         clamped = clamp_quantile(average_quantile(unfolded), 0.0, e.length)
         line_m = measure_from_quantile(clamped)
-        mu = _project_line_to_edge_grid(g, oe, line_m, h)
+        mu = _project_line_to_edge_grid(g, oe, line_m, grid)
         new_line = measure_on_edge_as_line(g, oe, mu)
         delta = w2_line(new_line, prev_line)
         prev_line = new_line

@@ -12,7 +12,8 @@ base point. The classes, the images and that plan's costs all come from one
 distance build, the edge frame of :mod:`mgbary.transport`; the plan is solved
 on the same line as :func:`~mgbary.transport.w2_graph` solves it, and reaches
 HiGHS only when its dual certificate fails or the base holds no interior
-point of the edge.
+point of the edge. The edge-local fixed point builds that table once per call,
+over every point its iterates may charge, and unfolds each round from a slice.
 """
 
 from __future__ import annotations
@@ -100,17 +101,23 @@ def phi(ctx: CoverContext, nu: DiscreteMeasure) -> LineMeasure:
     Otherwise an optimal plan is solved, and its split of each cut target
     between classes is the selection.
     """
-    g = ctx.graph
     n, k = len(ctx.base.points), len(nu.points)
     if n > 1 and k > 1:  # the size the plan's LP refuses, before the table is built
         _check_size(n * k, "LP variables")
-    tags, images, frame = _branch_table(g, ctx.edge, ctx.base.points, nu.points)
+    table = _branch_table(ctx.graph, ctx.edge, ctx.base.points, nu.points)
+    return _unfold(table, ctx.base.weights, nu.weights)
+
+
+def _unfold(table, p, q) -> LineMeasure:
+    """:func:`phi` from its :func:`~mgbary.transport._branch_table` ``(tags,
+    images, frame)`` of base points of weights ``p`` and targets of weights ``q``."""
+    tags, images, frame = table
     images = images.T.tolist()  # per target: E, PLUS, MINUS
     if (tags == tags[0]).all():
-        pairs = zip(range(k), tags[0], nu.weights)
+        pairs = zip(range(len(q)), tags[0], q)
     else:
         costs = np.float_power(frame[3][2:], 2)
-        x = _optimal_coupling(costs, ctx.base.weights, nu.weights, frame)
+        x = _optimal_coupling(costs, p, q, frame)
         pairs = ((j, tags[i, j], float(x[i, j])) for i, j in zip(*np.nonzero(x)))
     groups: dict[int, dict[int, float]] = {}
     for j, tag, mass in pairs:
@@ -121,7 +128,7 @@ def phi(ctx: CoverContext, nu: DiscreteMeasure) -> LineMeasure:
     for j, split in groups.items():
         if len(split) == 1:
             (tag,) = split
-            atoms.append((images[j][tag], nu.weights[j]))
+            atoms.append((images[j][tag], q[j]))
         else:
             # a cut target: the plan's split between classes is the selection
             atoms.extend((images[j][tag], mass) for tag, mass in split.items())

@@ -307,18 +307,22 @@ def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     return min(cands)
 
 
-def _dijkstra(g: MetricGraph, source: str):
+def _dijkstra(g: MetricGraph, source: str, targets):
     # Ties between equal-length paths are broken by the lexicographically
     # smallest (edge id, direction) sequence; the heap order enforces it.
+    # A vertex's distance and key are final once it is popped, so the search
+    # stops when every vertex of ``targets`` has been.
     dist: dict[str, float] = {}
     key: dict[str, tuple] = {}
     heap: list[tuple[float, tuple, str]] = [(0.0, (), source)]
-    while heap:
+    left = set(targets)
+    while heap and left:
         d, k, w = heapq.heappop(heap)
         if w in dist:
             continue
         dist[w] = d
         key[w] = k
+        left.discard(w)
         for edge, other, flag in g._adj[w]:
             if other not in dist:
                 heapq.heappush(heap, (d + edge.length, k + ((edge.id, flag),), other))
@@ -345,7 +349,7 @@ def shortest_path(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> GeodesicPath:
         cands.append((abs(b.offset - a.offset), ((a.edge, d),)))
     for c1, w1, d1 in _exits(g, a):
         s1 = () if d1 is None else ((a.edge, d1),)
-        row_d, row_k = _dijkstra(g, w1)
+        row_d, row_k = _dijkstra(g, w1, [w for _, w, _ in _exits(g, b)])
         for c2, w2, d2 in _exits(g, b):
             s2 = () if d2 is None else ((b.edge, d2),)
             cands.append(((c1 + row_d[w2]) + c2, s1 + row_k[w2] + _flip(s2)))

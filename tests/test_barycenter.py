@@ -1,10 +1,12 @@
 import logging
 import math
+import pathlib
 import random
 
 import pytest
 from scipy.optimize import linprog
 
+import mgbary.transport
 from mgbary import (
     GraphPoint,
     MeasureValidationError,
@@ -350,6 +352,55 @@ class TestFixedPoint:
         result = solve_edge_fixed_point(problem, "b1", max_iter=1)
         assert not result.converged
         assert result.iterations == 1
+
+    def test_one_distance_build_per_call(self, monkeypatch):
+        # every round slices one table; a table kept across calls would let
+        # the second call build none
+        problem = _pieces_problem(*DENSE_REFERENCE_PROBLEMS["skewed_square"][:2], 1 / 64)
+        builds = []
+        real = mgbary.transport._distance_matrix
+        monkeypatch.setattr(
+            mgbary.transport, "_distance_matrix", lambda *args: builds.append(1) or real(*args)
+        )
+        for init in ("uniform", "vertex", "uniform"):
+            builds.clear()
+            assert solve_edge_fixed_point(problem, "k_AB", init=init).iterations >= 3
+            assert len(builds) == 1
+
+    @pytest.mark.parametrize("init", ["uniform", "vertex"])
+    def test_table_above_the_cap_is_refused(self, monkeypatch, init):
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
+        # 18 grid points by 24 input cells; no iterate's plan reaches 400
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "400")
+        with pytest.raises(SupportCapError, match="432 unfolding table entries"):
+            solve_edge_fixed_point(problem, "b1", init=init)
+
+    def test_results_match_golden_file(self):
+        # a change that must keep results identical keeps this file; one that
+        # changes a result on purpose writes _golden_fixed_points() there
+        assert _golden_fixed_points().encode("utf-8") == FIXED_POINT_GOLDEN.read_bytes()
+
+
+FIXED_POINT_GOLDEN = pathlib.Path(__file__).parent / "golden" / "fixed_points.txt"
+FIXED_POINT_CASES = [
+    ("tripod", make_tripod, [(1 / 3, (f"b{i}", 0.5, 1.0, 2.0)) for i in (1, 2, 3)], 1 / 128, ["b1"]),
+    ("triangle", *DENSE_REFERENCE_PROBLEMS["triangle"][:2], 1 / 64, ["e_AB", "e_AC"]),
+    ("skewed_square", *DENSE_REFERENCE_PROBLEMS["skewed_square"][:2], 1 / 64, ["k_AB", "k_DA"]),
+    ("square_with_chord", make_square_with_chord, CHORD_INPUTS, 1 / 64, ["q41", "q13"]),
+]
+
+
+def _golden_fixed_points() -> str:
+    """The ``repr`` of each fixed point of ``FIXED_POINT_CASES``, one a line."""
+    lines = []
+    for name, make, inputs, grid, edges in FIXED_POINT_CASES:
+        problem = _pieces_problem(make, inputs, grid)
+        for eid in edges:
+            for init in ("uniform", "vertex"):
+                result = solve_edge_fixed_point(problem, eid, init=init)
+                lines.append(f"{name} {eid} {init}: {result!r}\n")
+    return "".join(lines)
 
 
 class TestRegularityReport:

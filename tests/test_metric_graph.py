@@ -240,6 +240,20 @@ class TestShortestPath:
         x, y = E("e_AB", 0.3), E("e_BC", 0.8)
         assert shortest_path(triangle, x, y).length == shortest_path(triangle, y, x).length
 
+    def test_search_stopped_at_the_exits_matches_the_full_search(self, monkeypatch):
+        rng = random.Random(17)
+        graphs = [make_square(), make_square_with_chord()]
+        graphs += [build_graph(_grid_graph(n, n)) for n in range(5, 10)]
+        unit = _grid_graph(6, 0)  # equal lengths: many tied routes
+        graphs.append(build_graph({**unit, "edges": [{**e, "length": 1.0} for e in unit["edges"]]}))
+        pairs = [(g, random_point(g, rng), random_point(g, rng)) for g in graphs for _ in range(40)]
+        stopped = [shortest_path(g, x, y) for g, x, y in pairs]
+        search = mgbary.metric_graph._dijkstra
+        monkeypatch.setattr(
+            mgbary.metric_graph, "_dijkstra", lambda g, source, _: search(g, source, g.vertices)
+        )
+        assert [shortest_path(g, x, y) for g, x, y in pairs] == stopped
+
 
 class TestMinimizingEdges:
     def test_triangle_edges_minimize(self, triangle):
