@@ -14,13 +14,15 @@ clamped-quantile characterization of edge-supported barycenters.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .covering import _unfold, measure_on_edge_as_line
+from .covering import _unfold
+from .errors import ParseError
 from .line_ot import (
     LineMeasure,
     QuantileFn,
@@ -45,7 +47,7 @@ from .transport import (
     graph_measure,
     w2_graph,
 )
-from .tolerances import CELL_NUDGE, SNAP_TOL
+from .tolerances import SNAP_TOL
 from .tolerances import _check_grid, _check_threshold, _check_weights
 
 _log = logging.getLogger("mgbary")
@@ -203,59 +205,14 @@ def _edge_grid(g: MetricGraph, oe: OrientedEdge, h: float) -> list[GraphPoint]:
     return [GraphPoint.at_vertex(e0), GraphPoint.at_vertex(e1), *centers]
 
 
-def _project_line_to_edge_grid(
-    g: MetricGraph, oe: OrientedEdge, m: LineMeasure, grid: list[GraphPoint]
-) -> DiscreteMeasure:
-    """Project a measure on [0, length] onto the :func:`_edge_grid` of the edge.
-
-    Mass at the exact endpoints goes to the endpoint vertices; interior mass
-    goes to the center of its cell. Using one fixed grid keeps the fixed-point
-    iteration inside a finite family of measures.
-    """
-    e = g.edge(oe.edge)
-    n = len(grid) - 2
-    width = e.length / n  # as _edge_cells gives it
-    cell_mass = [0.0] * n
-    v0_mass = 0.0
-    v1_mass = 0.0
-
-    def deposit(s: float, mass: float):
-        nonlocal v0_mass, v1_mass
-        if s <= SNAP_TOL:
-            v0_mass += mass
-        elif s >= e.length - SNAP_TOL:
-            v1_mass += mass
-        else:
-            cell_mass[min(int(s / width), n - 1)] += mass
-
-    for x, mass in m.atoms:
-        deposit(x, mass)
-    for a, b, d in m.pieces:
-        k0 = max(0, int(a / width))
-        k1 = min(n - 1, int((b - CELL_NUDGE) / width))
-        for k in range(k0, k1 + 1):
-            lo = max(a, k * width)
-            hi = min(b, (k + 1) * width)
-            if hi > lo:
-                cell_mass[k] += d * (hi - lo)
-
-    masses = [v0_mass, v1_mass, *cell_mass]
-    return discrete_measure(g, [(p, mass) for p, mass in zip(grid, masses) if mass > 0.0])
-
-
-def _pull_line_to_edge(
-    g: MetricGraph, oe: OrientedEdge, m: LineMeasure
-) -> GraphMeasure:
-    """Identify a measure on [0, length] with a measure on the oriented edge."""
-    e = g.edge(oe.edge)
-    atoms = [
-        (GraphPoint.on_edge(e.id, min(max(g.flip_offset(oe, x), 0.0), e.length)), mass)
-        for x, mass in m.atoms
-    ]
-    pieces = [
-        (e.id, *sorted((g.flip_offset(oe, a), g.flip_offset(oe, b))), d) for a, b, d in m.pieces
-    ]
-    return graph_measure(g, atoms=atoms, pieces=pieces)
+def _edge_grid_masses(m: LineMeasure, length: float, n: int) -> np.ndarray:
+    """Masses on the :func:`_edge_grid` of an edge of ``n`` cells of an atomic
+    measure on [0, length]: an atom within ``SNAP_TOL`` of an end goes to that
+    end, any other to the center of its cell, added in atom order."""
+    x, mass = np.array(m.atoms).T
+    cell = np.minimum((x / (length / n)).astype(int), n - 1)  # width as _edge_cells gives it
+    index = np.where(x <= SNAP_TOL, 0, np.where(x >= length - SNAP_TOL, 1, 2 + cell))
+    return np.bincount(index, weights=mass, minlength=n + 2)
 
 
 @dataclass(frozen=True)
@@ -263,8 +220,9 @@ class FixedPointResult:
     """Converged state of the edge-local scheme.
 
     ``measure`` is the grid-projected iterate used inside the loop;
-    ``profile`` is the continuous measure produced by the final clamped
-    quantile average, before grid projection.
+    ``line_profile`` is the atomic measure on [0, length] produced by the
+    final clamped quantile average, before grid projection, and ``profile``
+    is the same measure on the edge.
     """
 
     measure: DiscreteMeasure
@@ -285,19 +243,21 @@ def solve_edge_fixed_point(
 
     Each round unfolds every input onto the line around the current iterate,
     averages the quantile functions with the problem weights, clamps into
-    [0, length], pulls the result back onto the edge, and projects it onto the
-    fixed spacing-``grid`` cell grid. Stops when the transport distance
-    between successive iterates drops to ``eps`` (default ``1e-6 * length``).
+    [0, length], and projects the result onto the edge's ends and the centers
+    of its spacing-``grid`` cells. Stops when the transport distance between
+    successive iterates drops to ``eps`` (default ``1e-6 * length``).
     Non-convergence within ``max_iter`` is reported honestly via the
     ``converged`` flag; the LP solver remains the ground truth. A NaN,
-    infinite or negative ``eps`` raises ``ParseError``.
+    infinite or negative ``eps``, or a ``max_iter`` that is not an integer of
+    at least 1, raises ``ParseError``.
 
-    Every iterate lives on the edge's ends and cell centers, and the inputs
-    are discretized once, so the unfolding's distances and class table are
-    built once per call, over those points against every input's points.
-    Each round slices the rows of its iterate's support; a distance depends
-    only on its pair, so a slice holds the bits a build per round would.
-    A table of more entries than ``MGBARY_SUPPORT_CAP`` raises
+    The iterate is one mass vector over those points, and the inputs are
+    discretized once, so the unfolding's distances and class table are built
+    once per call, over those points against every input's points. Each
+    round slices the rows of its iterate's support, in canonical point order;
+    a distance depends only on its pair, so a slice holds the bits a build
+    per round would. Each input unfolds to atoms, so the clamped average
+    does too. A table of more entries than ``MGBARY_SUPPORT_CAP`` raises
     ``SupportCapError`` before it is built.
     """
     if isinstance(oe, str):
@@ -307,15 +267,20 @@ def solve_edge_fixed_point(
     if eps is None:
         eps = 1e-6 * e.length
     _check_threshold(eps, "eps")
+    try:
+        valid = operator.index(max_iter) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ParseError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     targets = _targets(problem)
     grid = _edge_grid(g, oe, problem.grid)
-
+    n = len(grid) - 2
     if init == "uniform":
-        mu = _project_line_to_edge_grid(
-            g, oe, LineMeasure(pieces=((0.0, e.length, 1.0 / e.length),)), grid
-        )
+        k, width = np.arange(n), e.length / n
+        w = np.r_[0.0, 0.0, (1.0 / e.length) * (np.minimum(e.length, (k + 1) * width) - k * width)]
     elif init == "vertex":
-        mu = discrete_measure(g, [(grid[0], 1.0)])
+        w = np.r_[1.0, np.zeros(n + 1)]
     else:
         raise ValueError(f"unknown init {init!r}; use 'uniform' or 'vertex'")
 
@@ -324,34 +289,36 @@ def solve_edge_fixed_point(
     tags, images, (length, a, on, d) = _branch_table(g, oe, grid, points)
     ends = np.cumsum([len(t.points) for _, t in targets])[:-1]
     tables = list(zip(*(np.split(x, ends, axis=-1) for x in (tags, images, on, d))))
-    row = {p: i for i, p in enumerate(grid)}
+    by_point = np.array(sorted(range(len(grid)), key=lambda i: grid[i].sort_key()))
+    offsets = np.array([g._offset(oe, p) for p in grid])
+    by_offset = np.argsort(offsets, kind="stable")
 
-    prev_line = measure_on_edge_as_line(g, oe, mu)
-    line_m = prev_line
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        rows = np.array([row[p] for p in mu.points])
+    def line_view(w):
+        keep = by_offset[w[by_offset] > 0.0]
+        return LineMeasure(atoms=tuple(zip(offsets[keep].tolist(), w[keep].tolist())))
+
+    prev_line = line_view(w)
+    for iterations in range(1, max_iter + 1):
+        rows = by_point[w[by_point] > 0.0]
         unfolded = []
         for (lam, target), (tags_k, images_k, on_k, d_k) in zip(targets, tables):
-            n, k = len(rows), len(target.points)
-            if n > 1 and k > 1:  # as phi refuses the plan's LP
-                _check_size(n * k, "LP variables")
             table = tags_k[rows], images_k, (length, a[rows], on_k, d_k[np.r_[0, 1, rows + 2]])
-            unfolded.append((lam, _unfold(table, mu.weights, target.weights)))
-        clamped = clamp_quantile(average_quantile(unfolded), 0.0, e.length)
-        line_m = measure_from_quantile(clamped)
-        mu = _project_line_to_edge_grid(g, oe, line_m, grid)
-        new_line = measure_on_edge_as_line(g, oe, mu)
-        delta = w2_line(new_line, prev_line)
-        prev_line = new_line
-        if delta <= eps:
-            converged = True
+            unfolded.append((lam, _unfold(table, w[rows], target.weights)))
+        line_m = measure_from_quantile(clamp_quantile(average_quantile(unfolded), 0.0, e.length))
+        w = _edge_grid_masses(line_m, e.length, n)
+        new_line = line_view(w)
+        converged = w2_line(new_line, prev_line) <= eps
+        if converged:
             break
+        prev_line = new_line
+    rows = by_point[w[by_point] > 0.0]
+    profile = [
+        (GraphPoint.on_edge(e.id, min(max(g.flip_offset(oe, x), 0.0), e.length)), mass)
+        for x, mass in line_m.atoms
+    ]
     return FixedPointResult(
-        measure=mu,
-        profile=_pull_line_to_edge(g, oe, line_m),
+        measure=discrete_measure(g, zip([grid[i] for i in rows], w[rows].tolist())),
+        profile=graph_measure(g, atoms=profile),
         line_profile=line_m,
         iterations=iterations,
         converged=converged,

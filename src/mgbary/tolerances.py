@@ -16,7 +16,6 @@ UNIT_MASS_TOL = 1e-9  # a measure's total mass must be 1 within this
 LP_ZERO_TOL = 1e-13  # LP solution entries below this are zero
 MARGINAL_TOL = 1e-10  # largest marginal residual a solved coupling may have
 REL_TOL = 1e-12  # relative slack of cell counts, minimizing-edge tests, LP dual certificates
-CELL_NUDGE = 1e-15  # keeps a piece ending on a cell boundary out of the next cell
 HIGHS_TIGHT_TOL = 1e-10  # HiGHS feasibility and optimality tolerances of the one re-solve
 
 

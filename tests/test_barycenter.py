@@ -6,10 +6,12 @@ import random
 import pytest
 from scipy.optimize import linprog
 
+import mgbary.barycenter
 import mgbary.transport
 from mgbary import (
     GraphPoint,
     MeasureValidationError,
+    OrientedEdge,
     ParseError,
     QuantileFn,
     SupportCapError,
@@ -35,8 +37,9 @@ from mgbary import (
     w2_graph,
     w2_line,
 )
-from mgbary.tolerances import REL_TOL
-from mgbary.transport import _accepted, _cost_matrix, _coupling_lp
+from mgbary.barycenter import _edge_grid_masses
+from mgbary.tolerances import REL_TOL, SNAP_TOL
+from mgbary.transport import _accepted, _cost_matrix, _coupling_lp, _edge_cells
 from conftest import (
     make_segment,
     make_skewed_square,
@@ -381,6 +384,12 @@ class TestFixedPoint:
         # changes a result on purpose writes _golden_fixed_points() there
         assert _golden_fixed_points().encode("utf-8") == FIXED_POINT_GOLDEN.read_bytes()
 
+    def test_reversed_results_match_golden_file(self):
+        # a reversed edge's cells run against their stored offsets, so the
+        # rows each round slices and its line view are ordered differently
+        got = _golden_fixed_points(reverse=True).encode("utf-8")
+        assert got == FIXED_POINT_GOLDEN.with_name("fixed_points_reversed.txt").read_bytes()
+
 
 FIXED_POINT_GOLDEN = pathlib.Path(__file__).parent / "golden" / "fixed_points.txt"
 FIXED_POINT_CASES = [
@@ -391,16 +400,85 @@ FIXED_POINT_CASES = [
 ]
 
 
-def _golden_fixed_points() -> str:
+def _golden_fixed_points(reverse: bool = False) -> str:
     """The ``repr`` of each fixed point of ``FIXED_POINT_CASES``, one a line."""
     lines = []
     for name, make, inputs, grid, edges in FIXED_POINT_CASES:
         problem = _pieces_problem(make, inputs, grid)
         for eid in edges:
             for init in ("uniform", "vertex"):
-                result = solve_edge_fixed_point(problem, eid, init=init)
+                result = solve_edge_fixed_point(problem, OrientedEdge(eid, reverse), init=init)
                 lines.append(f"{name} {eid} {init}: {result!r}\n")
     return "".join(lines)
+
+
+def _deposit_reference(atoms, length, n):
+    """Grid masses by the rule one atom at a time: within SNAP_TOL of an end
+    to that end, otherwise to the center of the cell holding it."""
+    width = length / n
+    masses = [0.0] * (n + 2)
+    for s, mass in atoms:
+        if s <= SNAP_TOL:
+            masses[0] += mass
+        elif s >= length - SNAP_TOL:
+            masses[1] += mass
+        else:
+            masses[2 + min(int(s / width), n - 1)] += mass
+    return masses
+
+
+def _uniform_reference(length, n):
+    """Cell masses of the density 1 / length on [0, length), cut at the cell
+    boundaries, a piece ending on a boundary kept out of the next cell."""
+    width, density = length / n, 1.0 / length
+    masses = [0.0] * n
+    for k in range(min(n - 1, int((length - 1e-15) / width)) + 1):
+        lo, hi = max(0.0, k * width), min(length, (k + 1) * width)
+        if hi > lo:
+            masses[k] += density * (hi - lo)
+    return masses
+
+
+GRID_LENGTHS = [0.7, 1.0, 1.3]
+GRID_SPACINGS = [1 / 3, 1 / 64, 1 / 100]
+
+
+class TestEdgeGridMasses:
+    @pytest.mark.parametrize("length", GRID_LENGTHS)
+    @pytest.mark.parametrize("h", GRID_SPACINGS)
+    def test_atoms_on_ends_and_cell_boundaries(self, length, h):
+        n, width = _edge_cells(length, h)
+        xs = [0.0, SNAP_TOL, 2 * SNAP_TOL, *(k * width for k in range(n + 1)), length - SNAP_TOL, length]
+        m = line_measure(atoms=[(x, 1.0 / len(xs)) for x in xs])
+        got = _edge_grid_masses(m, length, n).tolist()
+        assert got == _deposit_reference(m.atoms, length, n)
+
+    @pytest.mark.parametrize("length", GRID_LENGTHS)
+    @pytest.mark.parametrize("h", GRID_SPACINGS)
+    def test_random_atomic_measures(self, length, h):
+        rng = random.Random(f"{length}:{h}")
+        n, width = _edge_cells(length, h)
+        for _ in range(20):
+            xs = [rng.uniform(0.0, length) for _ in range(rng.randint(1, 3 * n))]
+            xs += [rng.randint(0, n) * width for _ in range(rng.randint(0, 3))]
+            raw = [rng.random() for _ in xs]
+            m = line_measure(atoms=[(x, r / sum(raw)) for x, r in zip(xs, raw)])
+            got = _edge_grid_masses(m, length, n).tolist()
+            assert got == _deposit_reference(m.atoms, length, n)
+
+    @pytest.mark.parametrize("length", GRID_LENGTHS)
+    @pytest.mark.parametrize("h", GRID_SPACINGS)
+    def test_uniform_start(self, monkeypatch, length, h):
+        # the first round unfolds around the start, its support in canonical order
+        starts = []
+        real = mgbary.barycenter._unfold
+        monkeypatch.setattr(
+            mgbary.barycenter, "_unfold", lambda table, p, q: starts.append(p) or real(table, p, q)
+        )
+        g = make_segment(length)
+        problem = barycenter_problem(g, [(1.0, graph_measure(g, atoms=[(V("L"), 1.0)]))], grid=h)
+        solve_edge_fixed_point(problem, "seg", max_iter=1)
+        assert starts[0].tolist() == _uniform_reference(length, _edge_cells(length, h)[0])
 
 
 class TestRegularityReport:
@@ -500,6 +578,15 @@ class TestInputValidation:
         problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
         with pytest.raises(ParseError, match="eps must be finite and not negative"):
             solve_edge_fixed_point(problem, "b1", eps=eps)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, 1.0, "10", None])
+    def test_fixed_point_rejects_bad_max_iter(self, monkeypatch, max_iter):
+        # -1 used to return the uniform start unconverged, 2.5 a bare TypeError
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
+        monkeypatch.setattr(mgbary.barycenter, "discretize", None)  # checked before it runs
+        with pytest.raises(ParseError, match="max_iter must be an integer of at least 1"):
+            solve_edge_fixed_point(problem, "b1", max_iter=max_iter)
 
     @pytest.mark.parametrize("atom_tol", [math.nan, math.inf, -1e-3])
     def test_report_rejects_bad_atom_tol(self, atom_tol):

@@ -426,6 +426,26 @@ def test_nan_eps_is_a_json_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+def test_max_iter_below_one_is_a_json_error(tmp_path, max_iter):
+    # -1 used to print the uniform start with "iterations": 0 and exit 0
+    ppath = tmp_path / "problem.json"
+    ppath.write_text(json.dumps(tripod_problem()))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "mgbary.cli", "bary", "--problem", str(ppath),
+            "--method", "fixed-point", "--edge", "b1", "--max-iter", max_iter,
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == "parse-error"
+    assert "max_iter must be an integer of at least 1" in out["detail"]
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "args, detail",
     [
