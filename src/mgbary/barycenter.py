@@ -23,13 +23,7 @@ from scipy.optimize import linprog
 
 from .covering import _unfold
 from .errors import ParseError
-from .line_ot import (
-    LineMeasure,
-    QuantileFn,
-    average_quantile,
-    measure_from_quantile,
-    w2_line,
-)
+from .line_ot import LineMeasure, QuantileFn, _average, _flat_segments, _merged_atoms, _w2_squared
 from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
@@ -205,11 +199,10 @@ def _edge_grid(g: MetricGraph, oe: OrientedEdge, h: float) -> list[GraphPoint]:
     return [GraphPoint.at_vertex(e0), GraphPoint.at_vertex(e1), *centers]
 
 
-def _edge_grid_masses(m: LineMeasure, length: float, n: int) -> np.ndarray:
-    """Masses on the :func:`_edge_grid` of an edge of ``n`` cells of an atomic
-    measure on [0, length]: an atom within ``SNAP_TOL`` of an end goes to that
+def _edge_grid_masses(x: np.ndarray, mass: np.ndarray, length: float, n: int) -> np.ndarray:
+    """Masses on the :func:`_edge_grid` of an edge of ``n`` cells of atoms at
+    ``x`` in [0, length]: an atom within ``SNAP_TOL`` of an end goes to that
     end, any other to the center of its cell, added in atom order."""
-    x, mass = np.array(m.atoms).T
     cell = np.minimum((x / (length / n)).astype(int), n - 1)  # width as _edge_cells gives it
     index = np.where(x <= SNAP_TOL, 0, np.where(x >= length - SNAP_TOL, 1, 2 + cell))
     return np.bincount(index, weights=mass, minlength=n + 2)
@@ -256,8 +249,11 @@ def solve_edge_fixed_point(
     once per call, over those points against every input's points. Each
     round slices the rows of its iterate's support, in canonical point order;
     a distance depends only on its pair, so a slice holds the bits a build
-    per round would. Each input unfolds to atoms, so the clamped average
-    does too. A table of more entries than ``MGBARY_SUPPORT_CAP`` raises
+    per round would. Each input unfolds to atoms, flat quantile segments
+    ending at their masses' running sums, so the clamped average is a clip
+    of one cell walk, atomic, in the bits of ``average_quantile`` and
+    ``clamp_quantile``; a round builds no ``QuantileFn`` or ``LineMeasure``.
+    A table of more entries than ``MGBARY_SUPPORT_CAP`` raises
     ``SupportCapError`` before it is built.
     """
     if isinstance(oe, str):
@@ -292,25 +288,30 @@ def solve_edge_fixed_point(
     by_point = np.array(sorted(range(len(grid)), key=lambda i: grid[i].sort_key()))
     offsets = np.array([g._offset(oe, p) for p in grid])
     by_offset = np.argsort(offsets, kind="stable")
+    lams = [lam for lam, _ in targets]
+    _check_weights(lams)
 
     def line_view(w):
         keep = by_offset[w[by_offset] > 0.0]
-        return LineMeasure(atoms=tuple(zip(offsets[keep].tolist(), w[keep].tolist())))
+        return _flat_segments(offsets[keep], w[keep])
 
     prev_line = line_view(w)
     for iterations in range(1, max_iter + 1):
         rows = by_point[w[by_point] > 0.0]
+        d_rows = np.concatenate(([0, 1], rows + 2))  # the edge's ends, then the support
         unfolded = []
-        for (lam, target), (tags_k, images_k, on_k, d_k) in zip(targets, tables):
-            table = tags_k[rows], images_k, (length, a[rows], on_k, d_k[np.r_[0, 1, rows + 2]])
-            unfolded.append((lam, _unfold(table, w[rows], target.weights)))
-        line_m = measure_from_quantile(clamp_quantile(average_quantile(unfolded), 0.0, e.length))
-        w = _edge_grid_masses(line_m, e.length, n)
+        for (_, target), (tags_k, images_k, on_k, d_k) in zip(targets, tables):
+            table = tags_k[rows], images_k, (length, a[rows], on_k, d_k[d_rows])
+            unfolded.append(_flat_segments(*_unfold(table, w[rows], target.weights)))
+        t, v, _ = _average(lams, unfolded)
+        x, mass = _merged_atoms(np.clip(v, 0.0, e.length), np.diff(t))
+        w = _edge_grid_masses(x, mass, e.length, n)
         new_line = line_view(w)
-        converged = w2_line(new_line, prev_line) <= eps
+        converged = bool(np.sqrt(max(0.0, _w2_squared(new_line, prev_line))) <= eps)
         if converged:
             break
         prev_line = new_line
+    line_m = LineMeasure(atoms=tuple(zip(x.tolist(), mass.tolist())))
     rows = by_point[w[by_point] > 0.0]
     profile = [
         (GraphPoint.on_edge(e.id, min(max(g.flip_offset(oe, x), 0.0), e.length)), mass)

@@ -12,8 +12,10 @@ base point. The classes, the images and that plan's costs all come from one
 distance build, the edge frame of :mod:`mgbary.transport`; the plan is solved
 on the same line as :func:`~mgbary.transport.w2_graph` solves it, and reaches
 HiGHS only when its dual certificate fails or the base holds no interior
-point of the edge. The edge-local fixed point builds that table once per call,
-over every point its iterates may charge, and unfolds each round from a slice.
+point of the edge. An unfolding is computed as sorted arrays of positions and
+masses, merged as ``line_measure`` merges atoms; ``phi`` wraps them in a
+``LineMeasure``, and the edge-local fixed point, which builds the table once
+per call over every point its iterates may charge, reads them from a slice.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MeasureValidationError
-from .line_ot import LineMeasure, line_measure
+from .line_ot import LineMeasure, _merged_atoms, line_measure
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
@@ -99,40 +101,40 @@ def phi(ctx: CoverContext, nu: DiscreteMeasure) -> LineMeasure:
     order too; from several, three or more targets with one image may be
     summed in another order, and the sum then differs in the last bit.
     Otherwise an optimal plan is solved, and its split of each cut target
-    between classes is the selection.
+    between classes is the selection. The atoms come from :func:`_unfold`.
     """
     n, k = len(ctx.base.points), len(nu.points)
     if n > 1 and k > 1:  # the size the plan's LP refuses, before the table is built
         _check_size(n * k, "LP variables")
     table = _branch_table(ctx.graph, ctx.edge, ctx.base.points, nu.points)
-    return _unfold(table, ctx.base.weights, nu.weights)
+    x, mass = _unfold(table, ctx.base.weights, nu.weights)
+    return LineMeasure(atoms=tuple(zip(x.tolist(), mass.tolist())))
 
 
-def _unfold(table, p, q) -> LineMeasure:
+def _unfold(table, p, q) -> tuple[np.ndarray, np.ndarray]:
     """:func:`phi` from its :func:`~mgbary.transport._branch_table` ``(tags,
-    images, frame)`` of base points of weights ``p`` and targets of weights ``q``."""
+    images, frame)`` of base points of weights ``p`` and targets of weights
+    ``q``, as the sorted positions and masses of its atoms. Before they are
+    merged by position, the atoms are listed as the plan's entries first
+    meet each target, and then each of its classes; a target of one class
+    carries its weight ``q``, a cut target the plan's split."""
     tags, images, frame = table
-    images = images.T.tolist()  # per target: E, PLUS, MINUS
+    q = np.asarray(q, dtype=float)
     if (tags == tags[0]).all():
-        pairs = zip(range(len(q)), tags[0], q)
+        j, tag, mass = np.arange(len(q)), tags[0], q
     else:
-        costs = np.float_power(frame[3][2:], 2)
-        x = _optimal_coupling(costs, p, q, frame)
-        pairs = ((j, tags[i, j], float(x[i, j])) for i, j in zip(*np.nonzero(x)))
-    groups: dict[int, dict[int, float]] = {}
-    for j, tag, mass in pairs:
-        bucket = groups.setdefault(j, {})
-        bucket[tag] = bucket.get(tag, 0.0) + mass
-
-    atoms: list[tuple[float, float]] = []
-    for j, split in groups.items():
-        if len(split) == 1:
-            (tag,) = split
-            atoms.append((images[j][tag], q[j]))
-        else:
-            # a cut target: the plan's split between classes is the selection
-            atoms.extend((images[j][tag], mass) for tag, mass in split.items())
-    return line_measure(atoms=atoms)
+        x = _optimal_coupling(np.float_power(frame[3][2:], 2), p, q, frame)
+        i, j = np.nonzero(x)  # the plan's entries, row by row
+        key = 3 * j + tags[i, j]
+        split = np.bincount(key, weights=x[i, j])  # each target's mass by class, in row order
+        _, first = np.unique(key, return_index=True)  # each (target, class)'s first entry
+        met = np.full(len(q), len(j))  # each target's first entry
+        np.minimum.at(met, j, np.arange(len(j)))
+        first = first[np.lexsort((first, met[j[first]]))]
+        j, tag = j[first], tags[i[first], j[first]]
+        cut = np.bincount(j, minlength=len(q))[j] > 1
+        mass = np.where(cut, split[key[first]], q[j])
+    return _merged_atoms(images[tag, j], mass)
 
 
 def _anchor_vertex(ctx: CoverContext, tag: BranchTag) -> str:

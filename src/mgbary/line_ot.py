@@ -14,6 +14,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import MeasureValidationError
 from .tolerances import MASS_TOL, _check_unit_mass, _check_weights
 from .tolerances import _finite, _merge_atoms, _piece_values
@@ -86,6 +88,20 @@ def line_measure(
     m = LineMeasure(atoms=atoms_t, pieces=pieces_t)
     _check_unit_mass(m.total_mass())
     return m
+
+
+def _merged_atoms(x: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and masses of the atoms ``zip(x, mass)`` as
+    :func:`line_measure` checks and keeps them: positive masses summed by
+    position in the given order (``np.bincount``), sorted by position."""
+    bad = ~(np.isfinite(x) & np.isfinite(mass) & (mass >= -MASS_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MeasureValidationError(f"atom at {float(x[i])!r} of mass {float(mass[i])!r}")
+    x, mass = x[mass > 0.0], mass[mass > 0.0]
+    _check_unit_mass(float(np.cumsum(np.concatenate(([0.0], mass)))[-1]))
+    x, group = np.unique(x, return_inverse=True)
+    return x, np.bincount(group, weights=mass)
 
 
 def cdf_eval(m: LineMeasure, x: float) -> float:
@@ -218,33 +234,51 @@ def measure_from_quantile(q: QuantileFn) -> LineMeasure:
     return line_measure(atoms=atoms, pieces=pieces)
 
 
-def _cells(qs: Sequence[QuantileFn]):
-    """Walk the merged breakpoint partition of ``qs``: per cell ``(t0, t1,
-    [(a0, a1) per quantile])``, each ``q``'s values at the cell's ends."""
-    starts = [[s[0] for s in q.segments] for q in qs]
-    breaks = sorted({0.0, 1.0, *(t for q in qs for s in q.segments for t in s[:2])})
-    for t0, t1 in zip(breaks, breaks[1:]):
-        yield t0, t1, [_cell_values(q, st, t0, t1) for q, st in zip(qs, starts)]
+def _segments(q: QuantileFn) -> tuple[np.ndarray, ...]:
+    """``q``'s segments as four arrays: t0, t1, v0, v1."""
+    return tuple(np.array(q.segments, dtype=float).T)
 
 
-def _cell_values(q: QuantileFn, starts, t0: float, t1: float) -> tuple[float, float]:
-    """Values of ``q`` at the ends of a cell lying inside one of its segments,
-    whose starts are ``starts``."""
-    i = bisect_right(starts, t0) - 1
-    s0, s1, v0, v1 = q.segments[i]
-    def at(t):
-        if t == s0:
-            return v0
-        if t == s1:
-            return v1
-        return v0 + (v1 - v0) * (t - s0) / (s1 - s0)
-    return at(t0), at(t1)
+def _flat_segments(x: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_segments` of the quantile function of atoms at sorted distinct
+    ``x``: ends the masses' running sums, the last 1.0, as in :func:`quantile`."""
+    t = np.cumsum(np.concatenate(([0.0], mass)))
+    _check_unit_mass(float(t[-1]), "quantile construction's mass")
+    return t[:-1], np.concatenate((t[1:-1], [1.0])), x, x
 
 
-def _sq_integral(p: float, r: float, width: float) -> float:
+def _cells(segments):
+    """The merged breakpoint partition of quantile functions given by their
+    :func:`_segments`: the cell ends ``t`` (``np.unique``) and, per function,
+    its values at the cells' starts and ends. A cell lies in one segment
+    (``np.searchsorted``): v0 at s0, v1 at s1, linear in between."""
+    t = np.unique(np.concatenate([[0.0, 1.0], *(end for s in segments for end in s[:2])]))
+    values = []
+    for s in segments:
+        i = np.searchsorted(s[0], t[:-1], side="right") - 1
+        s0, s1, v0, v1 = (row[i] for row in s)
+        values.append([
+            np.where(x == s0, v0, np.where(x == s1, v1, v0 + (v1 - v0) * (x - s0) / (s1 - s0)))
+            for x in (t[:-1], t[1:])
+        ])
+    return t, values
+
+
+def _running_total(terms: np.ndarray) -> float:
+    """``total = 0.0; total += term`` over ``terms`` in order."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+def _sq_integral(p, r, width):
     # integral over the cell of the square of the linear function with
     # endpoint values p and r
     return width * (p * p + p * r + r * r) / 3.0
+
+
+def _w2_squared(s1, s2) -> float:
+    """:func:`w2_line_squared` of two quantile functions' :func:`_segments`."""
+    t, ((a0, a1), (b0, b1)) = _cells([s1, s2])
+    return _running_total(_sq_integral(a0 - b0, a1 - b1, np.diff(t)))
 
 
 def w2_line_squared(m1: LineMeasure, m2: LineMeasure) -> float:
@@ -253,10 +287,7 @@ def w2_line_squared(m1: LineMeasure, m2: LineMeasure) -> float:
     Computed as the exact integral of the squared quantile difference over the
     union of both breakpoint partitions.
     """
-    total = 0.0
-    for t0, t1, ((a0, a1), (b0, b1)) in _cells((quantile(m1), quantile(m2))):
-        total += _sq_integral(a0 - b0, a1 - b1, t1 - t0)
-    return total
+    return _w2_squared(_segments(quantile(m1)), _segments(quantile(m2)))
 
 
 def w2_line(m1: LineMeasure, m2: LineMeasure) -> float:
@@ -264,19 +295,22 @@ def w2_line(m1: LineMeasure, m2: LineMeasure) -> float:
     return math.sqrt(max(0.0, w2_line_squared(m1, m2)))
 
 
+def _average(lams, segments):
+    """Cell ends and the ``lams``-weighted average's values at cell starts and ends."""
+    t, values = _cells(segments)
+    v0 = v1 = 0.0
+    for lam, (a0, a1) in zip(lams, values):
+        v0 = v0 + lam * a0
+        v1 = v1 + lam * a1
+    return t, v0, np.where(v1 > v0, v1, v0)
+
+
 def average_quantile(problem: Sequence[tuple[float, LineMeasure]]) -> QuantileFn:
     """Weighted average of the quantile functions of the given measures."""
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
-    segs = []
-    for t0, t1, values in _cells([quantile(m) for _, m in problem]):
-        v0 = 0.0
-        v1 = 0.0
-        for lam, (a0, a1) in zip(lams, values):
-            v0 += lam * a0
-            v1 += lam * a1
-        segs.append((t0, t1, v0, max(v0, v1)))
-    return QuantileFn(tuple(segs))
+    t, v0, v1 = _average(lams, [_segments(quantile(m)) for _, m in problem])
+    return QuantileFn(tuple(zip(t[:-1].tolist(), t[1:].tolist(), v0.tolist(), v1.tolist())))
 
 
 def barycenter_line(problem: Sequence[tuple[float, LineMeasure]]) -> LineMeasure:
@@ -297,18 +331,14 @@ def dispersion(problem: Sequence[tuple[float, LineMeasure]]) -> float:
     """
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
-    total = 0.0
-    for t0, t1, values in _cells([quantile(m) for _, m in problem]):
-        width = t1 - t0
-        second = 0.0
-        mean0 = 0.0
-        mean1 = 0.0
-        for lam, (a0, a1) in zip(lams, values):
-            second += lam * _sq_integral(a0, a1, width)
-            mean0 += lam * a0
-            mean1 += lam * a1
-        total += second - _sq_integral(mean0, mean1, width)
-    return total
+    t, values = _cells([_segments(quantile(m)) for _, m in problem])
+    width = np.diff(t)
+    second = mean0 = mean1 = 0.0
+    for lam, (a0, a1) in zip(lams, values):
+        second = second + lam * _sq_integral(a0, a1, width)
+        mean0 = mean0 + lam * a0
+        mean1 = mean1 + lam * a1
+    return _running_total(second - _sq_integral(mean0, mean1, width))
 
 
 def line_measure_to_json(m: LineMeasure) -> dict:

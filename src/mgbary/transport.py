@@ -277,28 +277,25 @@ def _coupling_lp(costs, targets, source=None):
     """
     n = costs[0].shape[0]
     lead = n if source is None else 0
-    c, rows, cols, vals, b = [np.zeros(lead)], [], [], [], []
-    row0, col0 = 0, lead
+    c, indices, data, lengths, b = [np.zeros(lead)], [], [], [], []
+    col0, skip = lead, 0 if lead else 1  # skip: each row sum's leading column, if none
     for cost, weights in zip(costs, targets):
         k = cost.shape[1]
+        block = col0 + np.arange(n * k).reshape(n, k)
         c.append(cost.ravel())
-        rows += [row0 + np.repeat(np.arange(n), k), row0 + n + np.tile(np.arange(k), n)]
-        cols += [col0 + np.arange(n * k), col0 + np.arange(n * k)]
-        rows.append(row0 + np.arange(lead))  # row sums less the leading columns
-        cols.append(np.arange(lead))
-        vals += [np.ones(2 * n * k), -np.ones(lead)]
+        indices += [np.hstack([np.arange(n)[:, None], block])[:, skip:].ravel(), block.T.ravel()]
+        data += [np.hstack([-np.ones((n, 1)), np.ones((n, k))])[:, skip:].ravel(), np.ones(n * k)]
+        lengths += [np.full(n, k + 1 - skip), np.full(k, n)]
         b += [np.zeros(n) if lead else source, weights]
-        row0 += n + k
         col0 += n * k
     if lead:
-        rows.append(np.full(n, row0))
-        cols.append(np.arange(n))
-        vals.append(np.ones(n))
+        indices.append(np.arange(n))
+        data.append(np.ones(n))
+        lengths.append([n])
         b.append(np.ones(1))
-        row0 += 1
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
     a_eq = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row0, col0),
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(indptr) - 1, col0)
     )
     return np.concatenate(c), a_eq, np.concatenate(b)
 

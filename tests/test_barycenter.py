@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from scipy.optimize import linprog
 
@@ -450,7 +451,7 @@ class TestEdgeGridMasses:
         n, width = _edge_cells(length, h)
         xs = [0.0, SNAP_TOL, 2 * SNAP_TOL, *(k * width for k in range(n + 1)), length - SNAP_TOL, length]
         m = line_measure(atoms=[(x, 1.0 / len(xs)) for x in xs])
-        got = _edge_grid_masses(m, length, n).tolist()
+        got = _edge_grid_masses(*np.array(m.atoms).T, length, n).tolist()
         assert got == _deposit_reference(m.atoms, length, n)
 
     @pytest.mark.parametrize("length", GRID_LENGTHS)
@@ -463,7 +464,7 @@ class TestEdgeGridMasses:
             xs += [rng.randint(0, n) * width for _ in range(rng.randint(0, 3))]
             raw = [rng.random() for _ in xs]
             m = line_measure(atoms=[(x, r / sum(raw)) for x, r in zip(xs, raw)])
-            got = _edge_grid_masses(m, length, n).tolist()
+            got = _edge_grid_masses(*np.array(m.atoms).T, length, n).tolist()
             assert got == _deposit_reference(m.atoms, length, n)
 
     @pytest.mark.parametrize("length", GRID_LENGTHS)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import mgbary.covering
@@ -35,6 +36,7 @@ from conftest import (
     make_triangle,
     make_tripod,
 )
+from mgbary.transport import _branch_table
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -413,3 +415,80 @@ class TestPhiPlanFree:
         image = phi(make_cover_context(star, "s0", base), nu)
         assert 0.7 + 0.2 + 0.1 != 0.1 + 0.2 + 0.7  # the order shows in the last bit
         assert image.atoms == ((-0.5, 0.7 + 0.2 + 0.1),)
+
+
+def _reference_phi(ctx, nu):
+    """``phi`` as it was built before its atoms were merged on arrays: the
+    plan's entries grouped by target and class in dicts, then
+    ``line_measure``."""
+    tags, images, frame = _branch_table(ctx.graph, ctx.edge, ctx.base.points, nu.points)
+    q = nu.weights
+    images = images.T.tolist()
+    if (tags == tags[0]).all():
+        pairs = zip(range(len(q)), tags[0], q)
+    else:
+        costs = np.float_power(frame[3][2:], 2)
+        x = mgbary.covering._optimal_coupling(costs, ctx.base.weights, q, frame)
+        pairs = ((j, tags[i, j], float(x[i, j])) for i, j in zip(*np.nonzero(x)))
+    groups = {}
+    for j, tag, mass in pairs:
+        bucket = groups.setdefault(j, {})
+        bucket[tag] = bucket.get(tag, 0.0) + mass
+    atoms = []
+    for j, split in groups.items():
+        if len(split) == 1:
+            (tag,) = split
+            atoms.append((images[j][tag], q[j]))
+        else:
+            atoms.extend((images[j][tag], mass) for tag, mass in split.items())
+    return line_measure(atoms=atoms)
+
+
+def _triangle_with_pendants():
+    """The triangle with three unit pendant edges at C: a point on a pendant
+    is reached from e_AB through A or through B, depending on the base
+    point, and points at one offset on the three pendants share both images."""
+    g = make_triangle()
+    edges = [{"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in g.edges]
+    edges += [{"id": f"p{i}", "u": "C", "v": f"t{i}", "length": 1.0} for i in range(3)]
+    return build_graph({"vertices": ["A", "B", "C", "t0", "t1", "t2"], "edges": edges})
+
+
+def _star():
+    """Four unit edges s0..s3 at c: a tree, so no target is ever cut."""
+    return build_graph(
+        {
+            "vertices": ["c", "t0", "t1", "t2", "t3"],
+            "edges": [{"id": f"s{i}", "u": "c", "v": f"t{i}", "length": 1.0} for i in range(4)],
+        }
+    )
+
+
+class TestUnfoldOnArrays:
+    """``_unfold`` merges its atoms on arrays; ``phi`` must keep the bits of
+    the grouping it replaces, including the order in which the atoms of one
+    image are added."""
+
+    @pytest.mark.parametrize(
+        "maker, eid, alike, cuts",
+        [(_triangle_with_pendants, "e_AB", ["p0", "p1", "p2"], True), (_star, "s0", ["s1", "s2", "s3"], False)],
+    )
+    def test_matches_the_grouping_reference(self, maker, eid, alike, cuts, plans_solved):
+        g = maker()
+        rng = random.Random(f"unfold:{eid}")
+        cut_cases = 0
+        for k in range(60):
+            base = random_measure_on_edge(g, eid, rng, n=rng.randint(1, 4))
+            ctx = make_cover_context(g, OrientedEdge(eid, reverse=k % 2 == 1), base)
+            s = rng.choice([0.25, 0.5, rng.random()])  # one image for all three
+            pairs = [(E(f, s), rng.uniform(0.1, 1.0)) for f in alike]
+            for _ in range(rng.randint(0, 3)):
+                e = g.edges[rng.randrange(len(g.edges))]
+                pairs.append((E(e.id, rng.uniform(0.0, e.length)), rng.uniform(0.1, 1.0)))
+            total = sum(w for _, w in pairs)
+            nu = discrete_measure(g, [(p, w / total) for p, w in pairs])
+            before = len(plans_solved)
+            image = phi(ctx, nu)
+            cut_cases += len(plans_solved) > before
+            assert repr(image) == repr(_reference_phi(ctx, nu))
+        assert (cut_cases >= 20) == cuts

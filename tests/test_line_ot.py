@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from mgbary import (
     MeasureValidationError,
     QuantileFn,
+    average_quantile,
     barycenter_line,
     cdf_eval,
     dispersion,
@@ -283,3 +285,125 @@ class TestJson:
     def test_round_trip(self):
         m = line_measure(atoms=[(0.5, 0.25)], pieces=[(1.0, 2.5, 0.5)])
         assert line_measure_from_json(line_measure_to_json(m)).isclose(m)
+
+
+def _reference_cells(qs):
+    """The merged-partition walk the vectorized ``_cells`` replaces: a
+    ``bisect`` per quantile function and cell."""
+    starts = [[s[0] for s in q.segments] for q in qs]
+    breaks = sorted({0.0, 1.0, *(t for q in qs for s in q.segments for t in s[:2])})
+    for t0, t1 in zip(breaks, breaks[1:]):
+        yield t0, t1, [_reference_cell_values(q, st, t0, t1) for q, st in zip(qs, starts)]
+
+
+def _reference_cell_values(q, starts, t0, t1):
+    i = bisect_right(starts, t0) - 1
+    s0, s1, v0, v1 = q.segments[i]
+
+    def at(t):
+        if t == s0:
+            return v0
+        if t == s1:
+            return v1
+        return v0 + (v1 - v0) * (t - s0) / (s1 - s0)
+
+    return at(t0), at(t1)
+
+
+def _reference_sq(p, r, width):
+    return width * (p * p + p * r + r * r) / 3.0
+
+
+def _reference_average(problem):
+    segs = []
+    for t0, t1, values in _reference_cells([quantile(m) for _, m in problem]):
+        v0 = 0.0
+        v1 = 0.0
+        for (lam, _), (a0, a1) in zip(problem, values):
+            v0 += lam * a0
+            v1 += lam * a1
+        segs.append((t0, t1, v0, max(v0, v1)))
+    return tuple(segs)
+
+
+def _reference_w2_squared(m1, m2):
+    total = 0.0
+    for t0, t1, ((a0, a1), (b0, b1)) in _reference_cells((quantile(m1), quantile(m2))):
+        total += _reference_sq(a0 - b0, a1 - b1, t1 - t0)
+    return total
+
+
+def _reference_dispersion(problem):
+    total = 0.0
+    for t0, t1, values in _reference_cells([quantile(m) for _, m in problem]):
+        width = t1 - t0
+        second = 0.0
+        mean0 = 0.0
+        mean1 = 0.0
+        for (lam, _), (a0, a1) in zip(problem, values):
+            second += lam * _reference_sq(a0, a1, width)
+            mean0 += lam * a0
+            mean1 += lam * a1
+        total += second - _reference_sq(mean0, mean1, width)
+    return total
+
+
+def _cell_walk_measure(rng, dyadic):
+    """Atoms and density pieces, some atoms inside pieces. When ``dyadic``,
+    every position, width and mass is a multiple of a power of 2, so the
+    quantile breakpoints of different measures coincide exactly."""
+    n_pieces, n_atoms = rng.randint(0, 3), rng.randint(0, 4)
+    n_atoms += n_pieces == n_atoms == 0
+    if dyadic:
+        starts = sorted(rng.sample(range(-12, 12, 2), n_pieces))
+        pieces = [(a, a + rng.choice([0.25, 0.5, 1.0, 2.0])) for a in starts]
+    else:
+        ends = sorted(rng.uniform(-3.0, 3.0) for _ in range(2 * n_pieces))
+        pieces = list(zip(ends[::2], ends[1::2]))
+    xs = []
+    for _ in range(n_atoms):
+        if pieces and rng.random() < 0.5:  # inside a piece
+            a, b = rng.choice(pieces)
+            xs.append(a + (b - a) * (rng.randint(1, 3) / 4 if dyadic else rng.random()))
+        else:
+            xs.append(rng.randint(-16, 16) / 4 if dyadic else rng.uniform(-4.0, 4.0))
+    count = len(pieces) + len(xs)
+    if dyadic:
+        cuts = sorted(rng.sample(range(1, 16), count - 1))
+        masses = [(b - a) / 16 for a, b in zip([0, *cuts], [*cuts, 16])]
+    else:
+        raw = [rng.random() + 0.05 for _ in range(count)]
+        masses = [r / sum(raw) for r in raw]
+    return line_measure(
+        atoms=list(zip(xs, masses[len(pieces):])),
+        pieces=[(a, b, m / (b - a)) for (a, b), m in zip(pieces, masses)],
+    )
+
+
+class TestCellWalk:
+    """``average_quantile``, ``w2_line_squared`` and ``dispersion`` walk the
+    merged partition in one vectorized pass; each must give the bits of the
+    walk cell by cell."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_scalar_walk(self, seed):
+        rng = random.Random(f"cells:{seed}")
+        dyadic = seed % 2 == 0
+        measures = [_cell_walk_measure(rng, dyadic) for _ in range(rng.randint(2, 4))]
+        raw = [rng.random() + 0.1 for _ in measures]
+        problem = [(r / sum(raw), m) for r, m in zip(raw, measures)]
+        assert repr(average_quantile(problem).segments) == repr(_reference_average(problem))
+        assert repr(dispersion(problem)) == repr(_reference_dispersion(problem))
+        for m1 in measures:
+            for m2 in measures:
+                assert repr(w2_line_squared(m1, m2)) == repr(_reference_w2_squared(m1, m2))
+
+    def test_cases_share_breakpoints_and_hold_atoms_in_pieces(self):
+        shared = inside = 0
+        for seed in range(0, 60, 2):
+            rng = random.Random(f"cells:{seed}")
+            measures = [_cell_walk_measure(rng, True) for _ in range(rng.randint(2, 4))]
+            ts = [{t for s in quantile(m).segments for t in s[:2]} - {0.0, 1.0} for m in measures]
+            shared += any(a & b for i, a in enumerate(ts) for b in ts[i + 1 :])
+            inside += any(a < x < b for m in measures for x, _ in m.atoms for a, b, _ in m.pieces)
+        assert shared >= 10 and inside >= 10

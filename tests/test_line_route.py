@@ -10,12 +10,15 @@ HiGHS answer it, and guard the number of transport LPs of a fixed point.
 
 import logging
 import random
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import mgbary.barycenter
 import mgbary.covering
+import mgbary.line_ot
 import mgbary.transport
 from conftest import (
     make_skewed_square,
@@ -232,15 +235,19 @@ class TestFallback:
         assert capsys.readouterr() == ("", "")
 
 
-def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
-    """Every cut case of this fixed point has a source inside the edge, so no
-    transport LP reaches HiGHS; a change that routes them back fails here."""
+def _cycle_problem():
     g = make_triangle()
     inputs = [(0.25, ("e_AC", 0.3, 0.95, 1 / 0.65)), (0.25, ("e_AB", 0.0, 0.6, 1 / 0.6)),
               (0.5, ("e_AC", 0.3, 1.0, 1 / 0.7))]
-    problem = barycenter_problem(
+    return barycenter_problem(
         g, [(w, graph_measure(g, pieces=[piece])) for w, piece in inputs], 1 / 32
     )
+
+
+def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
+    """Every cut case of this fixed point has a source inside the edge, so no
+    transport LP reaches HiGHS; a change that routes them back fails here."""
+    problem = _cycle_problem()
     recorder = _Recorder(monkeypatch)
     cut_cases = []
     real = mgbary.covering._optimal_coupling
@@ -250,6 +257,36 @@ def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
     for init in ("uniform", "vertex"):
         assert solve_edge_fixed_point(problem, "e_BC", init=init).converged
     assert len(cut_cases) > 0 and recorder.lps == 0
+
+
+@pytest.mark.parametrize("init", ["uniform", "vertex"])
+def test_fixed_point_rounds_build_no_quantile_objects(init):
+    """Each round of the fixed point runs the line calculus on arrays: no
+    quantile function, clamp or line measure per round, one line measure for
+    the result at most. Calls are counted by code object, whatever the
+    binding they go through."""
+    counted = [
+        mgbary.line_ot.quantile,
+        mgbary.line_ot.average_quantile,
+        mgbary.barycenter.clamp_quantile,
+        mgbary.line_ot.measure_from_quantile,
+        mgbary.line_ot.line_measure,
+    ]
+    calls = {f.__code__: 0 for f in counted}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    problem = _cycle_problem()
+    sys.setprofile(profile)
+    try:
+        result = solve_edge_fixed_point(problem, "e_BC", init=init)
+    finally:
+        sys.setprofile(None)
+    assert result.converged and result.iterations > 1
+    *zero, lines = (calls[f.__code__] for f in counted)
+    assert zero == [0, 0, 0, 0] and lines <= 1
 
 
 def _cut_points_loop(g, v):

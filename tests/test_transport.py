@@ -2,7 +2,9 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from mgbary import (
     BranchTag,
@@ -22,7 +24,7 @@ from mgbary import (
     restrict,
     w2_graph,
 )
-from mgbary.transport import _cost_matrix
+from mgbary.transport import _cost_matrix, _coupling_lp
 from conftest import make_segment, random_point
 
 V = GraphPoint.at_vertex
@@ -407,3 +409,62 @@ class TestJson:
         )
         back = graph_measure_from_json(tripod, graph_measure_to_json(m))
         assert back == m
+
+
+def _coo_coupling_lp(costs, targets, source=None):
+    """``_coupling_lp`` assembled as before it wrote CSR directly: row and
+    column indices in COO, converted by scipy."""
+    n = costs[0].shape[0]
+    lead = n if source is None else 0
+    c, rows, cols, vals, b = [np.zeros(lead)], [], [], [], []
+    row0, col0 = 0, lead
+    for cost, weights in zip(costs, targets):
+        k = cost.shape[1]
+        c.append(cost.ravel())
+        rows += [row0 + np.repeat(np.arange(n), k), row0 + n + np.tile(np.arange(k), n)]
+        cols += [col0 + np.arange(n * k), col0 + np.arange(n * k)]
+        rows.append(row0 + np.arange(lead))
+        cols.append(np.arange(lead))
+        vals += [np.ones(2 * n * k), -np.ones(lead)]
+        b += [np.zeros(n) if lead else source, weights]
+        row0 += n + k
+        col0 += n * k
+    if lead:
+        rows.append(np.full(n, row0))
+        cols.append(np.arange(n))
+        vals.append(np.ones(n))
+        b.append(np.ones(1))
+        row0 += 1
+    a_eq = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row0, col0),
+    )
+    return np.concatenate(c), a_eq, np.concatenate(b)
+
+
+class TestCouplingLp:
+    """``_coupling_lp`` writes CSR directly; HiGHS must see the arrays the
+    COO conversion gave."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        for x, y in [(got[0], want[0]), (got[2], want[2])] + [
+            (getattr(got[1], f), getattr(want[1], f)) for f in ("indptr", "indices", "data")
+        ]:
+            assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
+        assert got[1].format == "csr" and got[1].shape == want[1].shape
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_coupling_from_a_source(self, n):
+        rng = np.random.default_rng(n)
+        for k in (1, 3, 7):
+            costs, q, p = rng.random((n, k)), rng.random(k), rng.random(n)
+            self._assert_same(_coupling_lp([costs], [q], p), _coo_coupling_lp([costs], [q], p))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_sourceless_couplings_with_the_unit_mass_row(self, n):
+        rng = np.random.default_rng(10 + n)
+        for count in (1, 2, 4):
+            ks = rng.integers(1, 8, count)
+            costs, qs = [rng.random((n, k)) for k in ks], [rng.random(k) for k in ks]
+            self._assert_same(_coupling_lp(costs, qs), _coo_coupling_lp(costs, qs))
