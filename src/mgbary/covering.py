@@ -10,12 +10,13 @@ gives a target the same class, every optimal plan sends that target through
 that one map, so no plan is solved unless some target's class depends on the
 base point. The classes, the images and that plan's costs all come from one
 distance build, the edge frame of :mod:`mgbary.transport`; the plan is solved
-on the same line as :func:`~mgbary.transport.w2_graph` solves it, and reaches
-HiGHS only when its dual certificate fails or the base holds no interior
-point of the edge. An unfolding is computed as sorted arrays of positions and
-masses, merged as ``line_measure`` merges atoms; ``phi`` wraps them in a
-``LineMeasure``, and the edge-local fixed point, which builds the table once
-per call over every point its iterates may charge, reads them from a slice.
+on the same line as :func:`~mgbary.transport.w2_graph` solves it, and goes
+to the transportation simplex when its dual certificate fails or the base
+holds no interior point of the edge. An unfolding is computed as sorted
+arrays of positions and masses, merged as ``line_measure`` merges atoms;
+``phi`` wraps them in a ``LineMeasure``, and the edge-local fixed point,
+which builds the table once per call over every point its iterates may
+charge, reads them from a slice.
 """
 
 from __future__ import annotations

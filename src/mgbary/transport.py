@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # unused here; perfbench/spans.py wraps it by this name
 
 from .errors import (
     MeasureValidationError,
@@ -118,10 +118,17 @@ class DiscreteMeasure:
 def discrete_measure(
     g: MetricGraph, pairs: Iterable[tuple[GraphPoint, float]]
 ) -> DiscreteMeasure:
+    """Canonicalize and validate finitely many weighted points. A weight sum
+    within ``UNIT_MASS_TOL`` of 1 but more than ``MASS_TOL`` off it is
+    divided out, so that two measures' marginals agree within
+    ``MARGINAL_TOL`` in every transport LP."""
     items = _merge_atoms(pairs, g.canonical, GraphPoint.sort_key)
     if not items:
         raise MeasureValidationError("discrete measure with empty support")
-    _check_unit_mass(sum(w for _, w in items), "weight sum")
+    total = sum(w for _, w in items)
+    _check_unit_mass(total, "weight sum")
+    if abs(total - 1.0) > MASS_TOL:
+        items = [(p, w / total) for p, w in items]
     return DiscreteMeasure(
         points=tuple(p for p, _ in items), weights=tuple(w for _, w in items)
     )
@@ -347,9 +354,11 @@ def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
 def _solved(linprog, c: np.ndarray, a_eq, b_eq: np.ndarray):
     """A :func:`_coupling_lp` solved by HiGHS (interior point, crossover to a
     vertex) through ``linprog``, the caller's module binding: the result and
-    its :func:`_accepted` solution. An answer that fails acceptance is solved
-    once more with HiGHS's feasibility and optimality tolerances at
-    ``HIGHS_TIGHT_TOL``, and only that answer's failure is raised."""
+    its :func:`_accepted` solution. ``solve_lp``'s joint LP is solved so; a
+    single coupling goes to :func:`_transport_simplex` instead. An answer
+    that fails acceptance is solved once more with HiGHS's feasibility and
+    optimality tolerances at ``HIGHS_TIGHT_TOL``, and only that answer's
+    failure is raised."""
     def solve(**options):
         return linprog(
             c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm", options=options
@@ -508,28 +517,141 @@ def _support_duals(costs: np.ndarray, x: np.ndarray) -> np.ndarray:
     raise SolverConsistencyError(f"component shifts meet a negative cycle, worst reduced cost {worst!r}")
 
 
+def _transport_simplex(costs: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray, int]:
+    """An optimal vertex of the n by k transportation problem of weights ``p``
+    and ``q`` under ``costs``, by Dantzig's transportation simplex: the plan,
+    its duals in :func:`_coupling_lp` row order (n row sums, then k column
+    sums) and the number of pivots.
+
+    The basis is a spanning tree of n + k - 1 cells over the n rows and k
+    columns, zero cells included, rooted at row 0. The least-cost start takes
+    the cells in increasing cost (a stable sort); a cell of an open row and
+    open column takes what the smaller of them has left and closes it (the
+    row on a tie, never the last open row or column), so its n + k - 1 cells
+    form a tree, completed by zero cells where a row and a column close
+    together. The duals ``u_i + v_j = costs[i, j]`` are read down the tree
+    from ``u_0 = 0``. Each pivot prices every cell and enters the least
+    reduced cost; after a pivot that moved at most ``LP_ZERO_TOL`` it enters
+    the first negative one in row-major order instead (Bland's rule, so
+    degenerate pivots cannot cycle). Mass goes around the entering cell's
+    tree cycle, and the cell that empties first leaves (the lowest index on
+    a tie); the duals are read again below the cut. It stops when no reduced
+    cost is below ``_certificate_tol(costs)``, the slack :func:`_accepted`
+    allows, and raises ``SolverConsistencyError`` past ``n * k * (n + k)``
+    pivots, which only a cycle made by rounding could reach.
+    """
+    n, k = costs.shape
+    tol, limit = _certificate_tol(costs), n * k * (n + k)
+    cost, flow = costs.ravel().tolist(), [0.0] * (n * k)
+    left = [float(w) for w in p] + [float(w) for w in q]  # what each row, then column, has left
+    links: list[list[int]] = [[] for _ in range(n + k)]  # nodes: rows, then n + column
+    rows_open, cols_open = n, k
+    for cell in np.argsort(costs, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, k)
+        if left[i] is None or left[n + j] is None:
+            continue
+        row = cols_open == 1 or (rows_open > 1 and left[i] <= left[n + j])
+        close, other = (i, n + j) if row else (n + j, i)
+        flow[cell] = max(left[close], 0.0)
+        left[other] -= left[close]
+        left[close] = None
+        links[i].append(n + j)
+        links[n + j].append(i)
+        rows_open -= row
+        cols_open -= not row
+        if not rows_open:
+            break
+    parent, depth, pot = [-1] * (n + k), [0] * (n + k), [0.0] * (n + k)
+
+    def edge(w: int) -> int:  # the cell joining node w to its parent
+        up = parent[w]
+        return w * k + up - n if w < n else up * k + w - n
+
+    def hang(top: int) -> None:  # parents, depths and duals below top
+        stack = [top]
+        for w in stack:
+            for x in links[w]:
+                if x != parent[w]:
+                    parent[x], depth[x] = w, depth[w] + 1
+                    pot[x] = cost[edge(x)] - pot[w]
+                    stack.append(x)
+
+    hang(0)
+    pivots, bland = 0, False
+    while True:
+        y = np.array(pot)
+        reduced = costs - (y[:n, None] + y[None, n:])  # c - A^T y, as _accepted reads it
+        cell = int(np.argmax(reduced < -tol) if bland else np.argmin(reduced))
+        if not reduced.flat[cell] < -tol:
+            return np.array(flow).reshape(n, k), y, pivots
+        if pivots == limit:
+            raise SolverConsistencyError(f"transportation simplex exceeds {limit} pivots")
+        pivots += 1
+        i, j = divmod(cell, k)
+        a, b, row_side, col_side = i, n + j, [], []  # each side's nodes, up to the apex
+        while depth[a] > depth[b]:
+            row_side.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            col_side.append(b)
+            b = parent[b]
+        while a != b:
+            row_side.append(a)
+            col_side.append(b)
+            a, b = parent[a], parent[b]
+        # from each end of the entering cell, the tree cells alternate -, +, -, ...
+        minus = row_side[0::2] + col_side[0::2]
+        out = min(minus, key=lambda w: (flow[edge(w)], edge(w)))
+        theta = flow[edge(out)]
+        for w in minus:
+            flow[edge(w)] -= theta
+        for w in row_side[1::2] + col_side[1::2]:
+            flow[edge(w)] += theta
+        flow[cell], bland = theta, theta <= LP_ZERO_TOL
+        up = parent[out]
+        links[out].remove(up)
+        links[up].remove(out)
+        links[i].append(n + j)
+        links[n + j].append(i)
+        top, below = (i, n + j) if out in row_side else (n + j, i)  # top is cut off with out
+        parent[top], depth[top] = below, depth[below] + 1
+        pot[top] = cost[cell] - pot[below]
+        hang(top)
+
+
 def _optimal_coupling(costs: np.ndarray, p, q, frame=None) -> np.ndarray:
     """An optimal n by k coupling of weights ``p`` and ``q`` under the squared
     distances ``costs``: the only one when n or k is 1. When the
     :func:`_edge_frame` of these points holds every source, one strictly
     inside the edge, the plan of :func:`_unfolded_plan` with duals from
     :func:`_support_duals` is tried first; otherwise, or when it fails
-    :func:`_accepted` (logged at DEBUG level on the ``mgbary`` logger),
-    HiGHS solves the LP by :func:`_solved`."""
+    :func:`_accepted`, :func:`_transport_simplex` solves the LP, and the
+    miss is logged at DEBUG level on the ``mgbary`` logger with the pivots
+    that replaced it. Either answer passes :func:`_accepted`."""
     n, k = costs.shape
     if n == 1 or k == 1:  # the only coupling: the many side's weights
         return np.array(q if n == 1 else p, dtype=float).reshape(n, k)
-    c, a_eq, b_eq = _coupling_lp([costs], [q], p)
+    lp = _coupling_lp([costs], [q], p)
+
+    def certified(x, y):
+        answer = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
+        return _accepted(answer, *lp).reshape(n, k)
+
+    missed = None
     length, a = (0.0, np.array([np.nan])) if frame is None else frame[:2]
     if not np.isnan(a).any() and ((0.0 < a) & (a < length)).any():  # all on it, one inside
         x = _unfolded_plan(frame, p, q)
         try:
-            y = _support_duals(costs, x)
-            answer = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
-            return _accepted(answer, c, a_eq, b_eq).reshape(n, k)
+            return certified(x, _support_duals(costs, x))
         except SolverConsistencyError as exc:
-            _log.debug("line route falls back to HiGHS, n %d, k %d: %s", n, k, exc)
-    return _solved(linprog, c, a_eq, b_eq)[1].reshape(n, k)
+            missed = exc
+    x, y, pivots = _transport_simplex(costs, p, q)
+    if missed is not None:
+        _log.debug(
+            "line route falls back to the transportation simplex, %d pivots, n %d, k %d: %s",
+            pivots, n, k, missed,
+        )
+    return certified(x, y)
 
 
 def w2_graph(
@@ -542,9 +664,10 @@ def w2_graph(
     exactly; the returned cost is the squared distance. When ``m1`` lies on
     the closure of one minimizing edge (the edge of its interior points), its
     :func:`_edge_frame` gives the costs, and :func:`_optimal_coupling` tries
-    the plan on the unfolded line before HiGHS; otherwise HiGHS solves the LP
-    by interior point with crossover to a vertex. Both answers are
-    deterministic for identical inputs.
+    the plan on the unfolded line before the transportation simplex;
+    otherwise the simplex solves the LP from a least-cost start, in numpy
+    and Python, without HiGHS. Both answers are deterministic for identical
+    inputs.
 
     Raises
     ------

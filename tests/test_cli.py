@@ -465,6 +465,31 @@ def test_bad_command_line_is_a_json_error(triangle_path, capsys, args, detail):
     assert detail in obj["detail"]
 
 
+@pytest.mark.parametrize("command", ["bary", "w2"])
+def test_mass_within_the_unit_tolerance_is_solved(tmp_path, capsys, command):
+    """A piece of mass 1 + 8e-10 validates, so the LP must solve it, at the
+    objective of the exactly normalized input."""
+    (tmp_path / "g.json").write_text(json.dumps(TRIANGLE))
+    other = {"atoms": [], "pieces": [{"edge": "e_AC", "a": 0.2, "b": 0.7, "density": 2.0}]}
+    (tmp_path / "other.json").write_text(json.dumps(other))
+    values = []
+    for error in (8e-10, 0.0):
+        off = {"atoms": [], "pieces": [{"edge": "e_AB", "a": 0.1, "b": 0.6, "density": 2.0 * (1 + error)}]}
+        (tmp_path / "off.json").write_text(json.dumps(off))
+        problem = {"graph": TRIANGLE, "grid": 0.1,
+                   "measures": [{"weight": 0.5, "measure": m} for m in (off, other)]}
+        (tmp_path / "p.json").write_text(json.dumps(problem))
+        args = {
+            "bary": ["bary", "--problem", str(tmp_path / "p.json"), "--method", "lp"],
+            "w2": ["w2", "--graph", str(tmp_path / "g.json"), "--m1", str(tmp_path / "off.json"),
+                   "--m2", str(tmp_path / "other.json"), "--grid", "0.1"],
+        }[command]
+        code, out = run_cli(args, capsys)
+        assert code == 0, out
+        values.append(json.loads(out)["objective" if command == "bary" else "w2_squared"])
+    assert abs(values[0] - values[1]) <= 1e-9 * values[1]
+
+
 def test_console_entry_point_runs(tmp_path):
     gpath = tmp_path / "triangle.json"
     gpath.write_text(json.dumps(TRIANGLE))

@@ -2,14 +2,16 @@
 
 ``w2_graph`` answers such a problem from the north-west-corner plan of the
 unfolding and accepts it only through the dual certificate every LP answer
-passes; HiGHS solves it when the certificate fails. These tests compare the
-line route with a dense LP written here, check that it never falls back on
-cycles, find a problem where the midpoint order misses the optimum and see
-HiGHS answer it, and guard the number of transport LPs of a fixed point.
+passes; the transportation simplex solves it when the certificate fails.
+These tests compare the line route with a dense LP written here, check that
+it never falls back on cycles, find a problem where the midpoint order
+misses the optimum and see the simplex answer it without HiGHS, and guard
+the number of transport LPs of a fixed point.
 """
 
 import logging
 import random
+import re
 import sys
 
 import numpy as np
@@ -42,7 +44,7 @@ from mgbary import (
 from mgbary.tolerances import SNAP_TOL
 from mgbary.transport import _accepted, _coupling_lp, _solved
 
-FALLBACK = "line route falls back to HiGHS"
+FALLBACK = "line route falls back to the transportation simplex"
 
 
 def _grid_graph(n: int, seed: int):
@@ -101,15 +103,21 @@ def _reference(g, m1, m2):
 
 
 class _Recorder:
-    """Counts the transport LPs of ``w2_graph`` and keeps each answer it accepts."""
+    """Counts the transport LPs of ``w2_graph`` that reach HiGHS (``lps``) and
+    the simplex (``simplex``), and keeps each answer it checks."""
 
     def __init__(self, monkeypatch):
-        self.lps, self.answers = 0, []
+        self.lps, self.simplex, self.answers = 0, 0, []
         real_linprog, real_accepted = mgbary.transport.linprog, mgbary.transport._accepted
+        real_simplex = mgbary.transport._transport_simplex
 
         def linprog(*args, **kwargs):
             self.lps += 1
             return real_linprog(*args, **kwargs)
+
+        def simplex(*args):
+            self.simplex += 1
+            return real_simplex(*args)
 
         def accepted(res, *lp):
             self.answers.append(res)
@@ -117,9 +125,10 @@ class _Recorder:
 
         monkeypatch.setattr(mgbary.transport, "linprog", linprog)
         monkeypatch.setattr(mgbary.transport, "_accepted", accepted)
+        monkeypatch.setattr(mgbary.transport, "_transport_simplex", simplex)
 
     def solve(self, g, m1, m2):
-        self.lps, self.answers = 0, []
+        self.lps, self.simplex, self.answers = 0, 0, []
         return w2_graph(g, m1, m2)
 
 
@@ -149,13 +158,11 @@ class TestLineRouteMatchesTheLp:
             m1, m2 = _problem(g, rng, spread)
             assert _on_one_edge(g, m1, m2)
             cost, plan = recorder.solve(g, m1, m2)
-            lps, answers = recorder.lps, list(recorder.answers)
             value, lp = _reference(g, m1, m2)
             assert abs(cost - value) <= 1e-12 * value
-            if lps == 0:  # the line route answered: its answer is certified
-                answered += 1
-                (answer,) = answers
-                _accepted(answer, *lp)
+            assert recorder.lps == 0
+            _accepted(recorder.answers[-1], *lp)  # the line route's answer or the simplex's
+            answered += recorder.simplex == 0
         assert answered >= (25 if name in CYCLES or name == "tripod" else 15)
 
 
@@ -169,7 +176,7 @@ def test_cycles_never_fall_back(monkeypatch, caplog):
         for i in range(110):
             m1, m2 = _problem(g, rng, spread=i % 2 == 0)
             recorder.solve(g, m1, m2)
-            assert recorder.lps == 0, (name, i)
+            assert recorder.lps == recorder.simplex == 0, (name, i)
             count += 1
     assert count >= 200
     assert not [r for r in caplog.records if FALLBACK in r.getMessage()]
@@ -190,7 +197,7 @@ def test_targets_nearer_through_one_end_are_sent_there(monkeypatch, h):
     recorder = _Recorder(monkeypatch)
     cost, _ = recorder.solve(g, m1, m2)
     value, _ = _reference(g, m1, m2)
-    assert recorder.lps == 0
+    assert recorder.lps == recorder.simplex == 0
     assert abs(cost - value) <= 1e-12 * value
 
 
@@ -214,11 +221,11 @@ def _missed_problem():
 
 
 class TestFallback:
-    def test_a_missed_optimum_is_solved_by_highs(self, monkeypatch):
+    def test_a_missed_optimum_is_solved_by_the_simplex(self, monkeypatch):
         g, m1, m2, value = _missed_problem()
         recorder = _Recorder(monkeypatch)
         cost, plan = recorder.solve(g, m1, m2)
-        assert recorder.lps >= 1
+        assert recorder.lps == 0 and recorder.simplex == 1
         assert abs(cost - value) <= 1e-12 * value
         assert abs(plan.mass() - 1.0) <= 1e-12
 
@@ -231,6 +238,7 @@ class TestFallback:
         assert records[0].levelno == logging.DEBUG and records[0].name == "mgbary"
         message = records[0].getMessage()
         assert f"n {len(m1.points)}, k {len(m2.points)}" in message
+        assert re.search(r"\b\d+ pivots\b", message)
         assert "reduced cost" in message or "residual" in message
         assert capsys.readouterr() == ("", "")
 
@@ -245,8 +253,8 @@ def _cycle_problem():
 
 
 def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
-    """Every cut case of this fixed point has a source inside the edge, so no
-    transport LP reaches HiGHS; a change that routes them back fails here."""
+    """Every cut case of this fixed point has a source inside the edge, so the
+    line route answers each one; a change that routes them elsewhere fails here."""
     problem = _cycle_problem()
     recorder = _Recorder(monkeypatch)
     cut_cases = []
@@ -256,7 +264,7 @@ def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
     )
     for init in ("uniform", "vertex"):
         assert solve_edge_fixed_point(problem, "e_BC", init=init).converged
-    assert len(cut_cases) > 0 and recorder.lps == 0
+    assert len(cut_cases) > 0 and recorder.lps == recorder.simplex == 0
 
 
 @pytest.mark.parametrize("init", ["uniform", "vertex"])

@@ -27,7 +27,7 @@ from mgbary import (
     w2_graph,
 )
 from mgbary.tolerances import HIGHS_TIGHT_TOL
-from conftest import make_tripod, tripod_outer_halves
+from conftest import make_triangle, make_tripod, tripod_outer_halves
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -124,6 +124,35 @@ class TestZeroMassAtoms:
         assert m.points == (V("o"),) and m.weights == (1.0,)
 
 
+class TestMassWithinTheUnitTolerance:
+    """A measure whose mass is off 1 by less than ``UNIT_MASS_TOL`` passes
+    validation, so every LP it enters must solve: the discretized weights
+    are divided by their sum. The objectives are those of the exactly
+    normalized problem."""
+
+    @staticmethod
+    def _measures(error):
+        g = make_triangle()
+        off = graph_measure(g, pieces=[("e_AB", 0.1, 0.6, 2.0 * (1 + error))])
+        return g, off, graph_measure(g, pieces=[("e_AC", 0.2, 0.7, 2.0)])
+
+    def test_solve_lp(self):
+        values = []
+        for error in (8e-10, 0.0):
+            g, off, other = self._measures(error)
+            values.append(solve_lp(barycenter_problem(g, [(0.5, off), (0.5, other)], 0.1))[1])
+        assert abs(values[0] - values[1]) <= 1e-9 * values[1]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["off-first", "off-second"])
+    def test_w2_graph(self, reverse):
+        values = []
+        for error in (8e-10, 0.0):
+            g, off, other = self._measures(error)
+            pair = (other, off) if reverse else (off, other)
+            values.append(w2_graph(g, *(discretize(g, m, 0.1) for m in pair))[0])
+        assert abs(values[0] - values[1]) <= 1e-9 * values[1]
+
+
 class TestSolveLpChecksItsCouplings:
     def test_drifted_coupling_is_reported(self, monkeypatch):
         real = mgbary.barycenter.linprog
@@ -143,30 +172,33 @@ class TestSolveLpChecksItsCouplings:
 
 
 class TestSolveLpChecksItsCertificate:
-    @staticmethod
-    def _worst_point(real, c, **kwargs):
-        # feasible but the most expensive vertex: duals of the negated cost
-        return real(-c, **kwargs)
+    """Faults injected into a solver's answer: HiGHS's for the joint LP of
+    ``solve_lp`` and the transportation simplex's for ``w2_graph``."""
 
     @staticmethod
-    def _shifted_duals(real, c, **kwargs):
-        res = real(c, **kwargs)
-        res.eqlin.marginals[-1] += 1e-6  # the last row, right-hand side > 0
-        return res
+    def _worst_point(real, duals, c, *args, **kwargs):
+        # feasible but the most expensive vertex: duals of the negated cost
+        return real(-c, *args, **kwargs)
+
+    @staticmethod
+    def _shifted_duals(real, duals, c, *args, **kwargs):
+        answer = real(c, *args, **kwargs)
+        duals(answer)[-1] += 1e-6  # the last row, right-hand side > 0
+        return answer
 
     @staticmethod
     def _solve_lp():
         g = make_tripod()
         problem = barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
-        return mgbary.barycenter, lambda: solve_lp(problem)
+        return mgbary.barycenter, "linprog", lambda res: res.eqlin.marginals, lambda: solve_lp(problem)
 
     @staticmethod
     def _w2_graph():
-        # two points on each side, so the plan comes from the LP
+        # two points on each side, so the plan comes from the simplex
         g = make_tripod()
         m1 = discrete_measure(g, [(V("t1"), 0.5), (E("b2", 0.5), 0.5)])
         m2 = discrete_measure(g, [(V("t3"), 0.25), (E("b1", 0.25), 0.75)])
-        return mgbary.transport, lambda: w2_graph(g, m1, m2)
+        return mgbary.transport, "_transport_simplex", lambda answer: answer[1], lambda: w2_graph(g, m1, m2)
 
     @pytest.mark.parametrize(
         "fault, solver",
@@ -177,29 +209,28 @@ class TestSolveLpChecksItsCertificate:
         ],
     )
     def test_non_optimal_answer_is_reported(self, monkeypatch, fault, solver):
-        module, solve = getattr(self, solver)()
-        real = module.linprog
+        module, name, duals, solve = getattr(self, solver)()
+        real = getattr(module, name)
         solve()
         wrapper = getattr(self, fault)
-        monkeypatch.setattr(module, "linprog", lambda c, **kwargs: wrapper(real, c, **kwargs))
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: wrapper(real, duals, *args, **kwargs))
         with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
             solve()
 
-    @pytest.mark.parametrize("solver", ["_solve_lp", "_w2_graph"])
-    def test_failed_answer_is_solved_once_more_at_tight_tolerances(self, monkeypatch, solver):
-        module, solve = getattr(self, solver)()
+    def test_failed_answer_is_solved_once_more_at_tight_tolerances(self, monkeypatch):
+        module, _, duals, solve = self._solve_lp()
         real = module.linprog
-        value = float(solve()[1 if solver == "_solve_lp" else 0])
+        value = float(solve()[1])
         options = []
 
         def first_shifted(c, **kwargs):
             options.append(kwargs["options"])
             if len(options) == 1:
-                return self._shifted_duals(real, c, **kwargs)
+                return self._shifted_duals(real, duals, c, **kwargs)
             return real(c, **kwargs)
 
         monkeypatch.setattr(module, "linprog", first_shifted)
-        got = float(solve()[1 if solver == "_solve_lp" else 0])
+        got = float(solve()[1])
         assert abs(got - value) <= 1e-12 * value
         assert options[0] == {} and len(options[1]) == 3
         assert set(options[1].values()) == {HIGHS_TIGHT_TOL}
