@@ -6,7 +6,6 @@ from .barycenter import (
     RegularityReport,
     barycenter_problem,
     candidate_support,
-    clamp_quantile,
     objective,
     regularity_report,
     solve_edge_fixed_point,
@@ -37,6 +36,7 @@ from .line_ot import (
     average_quantile,
     barycenter_line,
     cdf_eval,
+    clamp_quantile,
     dispersion,
     line_measure,
     line_measure_from_json,

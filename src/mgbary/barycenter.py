@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 
 from .covering import _unfold
 from .errors import ParseError
-from .line_ot import LineMeasure, QuantileFn, _average, _flat_segments, _merged_atoms, _w2_squared
+from .line_ot import LineMeasure, _average, _flat_segments, _merged_atoms, _w2_squared
 from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
@@ -159,37 +159,6 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     return mu, float(res.fun)
 
 
-def clamp_quantile(q: QuantileFn, lo: float, hi: float) -> QuantileFn:
-    """Pointwise median(lo, q, hi); stays monotone and piecewise linear."""
-    if not lo < hi:
-        raise ValueError(f"clamp bounds must satisfy lo < hi, got {lo!r}, {hi!r}")
-    segs: list[tuple[float, float, float, float]] = []
-
-    def push(t0, t1, v0, v1):
-        if t1 > t0:
-            segs.append((t0, t1, v0, v1))
-
-    for t0, t1, v0, v1 in q.segments:
-        if v1 <= lo:
-            push(t0, t1, lo, lo)
-            continue
-        if v0 >= hi:
-            push(t0, t1, hi, hi)
-            continue
-        ta, tb = t0, t1
-        if v0 < lo:
-            ta = t0 + (lo - v0) * (t1 - t0) / (v1 - v0)
-            push(t0, min(ta, t1), lo, lo)
-        if v1 > hi:
-            tb = t0 + (hi - v0) * (t1 - t0) / (v1 - v0)
-        ta = min(max(ta, t0), t1)
-        tb = min(max(tb, t0), t1)
-        push(ta, tb, max(v0, lo), min(v1, hi))
-        if v1 > hi:
-            push(max(tb, t0), t1, hi, hi)
-    return QuantileFn(tuple(segs))
-
-
 def _edge_grid(g: MetricGraph, oe: OrientedEdge, h: float) -> list[GraphPoint]:
     """The points the fixed point's iterates live on: the oriented edge's
     first and second endpoints, then the centers of its spacing-``h`` cells."""
@@ -252,7 +221,8 @@ def solve_edge_fixed_point(
     per round would. Each input unfolds to atoms, flat quantile segments
     ending at their masses' running sums, so the clamped average is a clip
     of one cell walk, atomic, in the bits of ``average_quantile`` and
-    ``clamp_quantile``; a round builds no ``QuantileFn`` or ``LineMeasure``.
+    ``line_ot.clamp_quantile``, where the clamp on quantile functions lives;
+    a round builds no ``QuantileFn`` or ``LineMeasure``.
     A table of more entries than ``MGBARY_SUPPORT_CAP`` raises
     ``SupportCapError`` before it is built.
     """

@@ -3,14 +3,16 @@
 The measure class is deliberately small: finitely many atoms plus piecewise
 constant densities with compact support. It is closed under quantile
 averaging and clamping, so every operation here (CDF, quantile, the
-quadratic transport distance, barycenters, dispersion) is evaluated in closed
-form over merged breakpoint partitions, with no quadrature anywhere.
+quadratic transport distance, barycenters, dispersion, and
+:func:`clamp_quantile`, the clamp of the edge-supported barycenter
+characterization) is evaluated in closed form over merged breakpoint
+partitions, with no quadrature anywhere. A quantile function is four float
+arrays, ``QuantileFn.arrays``; no other module reads them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -123,57 +125,75 @@ def support_bounds(m: LineMeasure) -> tuple[float, float]:
     return min(los), max(his)
 
 
-@dataclass(frozen=True)
 class QuantileFn:
     """A nondecreasing, right-continuous, piecewise-linear map on (0, 1).
 
-    ``segments`` holds contiguous ``(t0, t1, v0, v1)`` tuples covering [0, 1]:
-    on [t0, t1) the value interpolates linearly from v0 to v1. Jumps between
+    Built from contiguous ``(t0, t1, v0, v1)`` segments covering [0, 1]: on
+    [t0, t1) the value interpolates linearly from v0 to v1. Jumps between
     consecutive segments encode gaps in the support of the underlying measure;
     flat segments encode atoms; a segment of slope s > 0 encodes density 1/s.
+    ``arrays`` holds the four columns as read-only float arrays, ``segments``
+    the same values as tuples; equality, hashing and ``repr`` go by segments.
     """
 
-    segments: tuple[tuple[float, float, float, float], ...]
+    __slots__ = ("arrays",)
 
-    def __post_init__(self):
-        segs = self.segments
-        if not segs:
+    def __init__(self, segments):
+        s = np.array(segments, dtype=float)
+        if not len(s):
             raise MeasureValidationError("quantile function needs at least one segment")
-        if segs[0][0] != 0.0 or segs[-1][1] != 1.0:
+        if s.shape[1:] != (4,):
+            raise MeasureValidationError("quantile segments must be (t0, t1, v0, v1) tuples")
+        s.flags.writeable = False
+        t0, t1, v0, v1 = self.arrays = tuple(s.T)
+        if not np.isfinite(s).all():
+            raise MeasureValidationError("quantile segments must be finite")
+        if t0[0] != 0.0 or t1[-1] != 1.0:
             raise MeasureValidationError("quantile segments must cover [0, 1]")
-        prev_t1 = None
-        prev_v1 = None
-        for t0, t1, v0, v1 in segs:
-            if not t0 < t1:
-                raise MeasureValidationError(f"empty quantile segment at t={t0!r}")
-            if v1 < v0:
-                raise MeasureValidationError(
-                    f"decreasing quantile segment on [{t0!r}, {t1!r})"
-                )
-            if prev_t1 is not None and t0 != prev_t1:
-                raise MeasureValidationError("quantile segments are not contiguous")
-            if prev_v1 is not None and v0 < prev_v1 - MASS_TOL:
-                raise MeasureValidationError("quantile function decreases across segments")
-            prev_t1, prev_v1 = t1, v1
+        if not (t0 < t1).all():
+            raise MeasureValidationError(f"empty quantile segment at t={float(t0[t0 >= t1][0])!r}")
+        if (v1 < v0).any():
+            i = int(np.argmax(v1 < v0))
+            raise MeasureValidationError(
+                f"decreasing quantile segment on [{float(t0[i])!r}, {float(t1[i])!r})"
+            )
+        if (t0[1:] != t1[:-1]).any():
+            raise MeasureValidationError("quantile segments are not contiguous")
+        if (v0[1:] < v1[:-1] - MASS_TOL).any():
+            raise MeasureValidationError("quantile function decreases across segments")
+
+    @property
+    def segments(self) -> tuple[tuple[float, float, float, float], ...]:
+        return tuple(zip(*(a.tolist() for a in self.arrays)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __hash__(self):
+        return hash(self.segments)
+
+    def __repr__(self):
+        return f"QuantileFn(segments={self.segments!r})"
 
     @property
     def lower(self) -> float:
         """Limit value at 0 (the infimum of the support)."""
-        return self.segments[0][2]
+        return float(self.arrays[2][0])
 
     @property
     def upper(self) -> float:
         """Limit value at 1 (the supremum of the support)."""
-        return self.segments[-1][3]
+        return float(self.arrays[3][-1])
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
             return self.lower
         if t >= 1.0:
             return self.upper
-        starts = [s[0] for s in self.segments]
-        i = bisect_right(starts, t) - 1
-        t0, t1, v0, v1 = self.segments[i]
+        i = int(np.searchsorted(self.arrays[0], t, side="right")) - 1
+        t0, t1, v0, v1 = (float(a[i]) for a in self.arrays)
         if t == t0:
             return v0
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
@@ -186,61 +206,70 @@ def quantile(m: LineMeasure) -> QuantileFn:
     become jumps; the output round-trips through
     :func:`measure_from_quantile`.
     """
-    atom_xs = [x for x, _ in m.atoms]
-    items: list[tuple[float, int, tuple]] = []
-    for x, mass in m.atoms:
-        items.append((x, 0, ("atom", x, mass)))
-    for a, b, d in m.pieces:
-        # split at atom positions strictly inside so ordering stays total
-        cuts = [x for x in atom_xs if a < x < b]
-        lo = a
-        for c in cuts:
-            items.append((lo, 1, ("piece", lo, c, d)))
-            lo = c
-        items.append((lo, 1, ("piece", lo, b, d)))
-    items.sort(key=lambda it: (it[0], it[1]))
-
-    segs = []
-    t = 0.0
-    for _, _, payload in items:
-        if payload[0] == "atom":
-            _, x, mass = payload
-            t1 = t + mass
-            segs.append([t, t1, x, x])
-        else:
-            _, a, b, d = payload
-            mass = d * (b - a)
-            t1 = t + mass
-            segs.append([t, t1, a, b])
-        t = t1
-    _check_unit_mass(t, "quantile construction's mass")
-    segs[-1][1] = 1.0
-    return QuantileFn(tuple(tuple(s) for s in segs))
+    x, mass = np.array(m.atoms, dtype=float).reshape(-1, 2).T
+    a, b, d = np.array(m.pieces, dtype=float).reshape(-1, 3).T
+    # split each piece at the atoms strictly inside it so ordering stays total
+    piece, atom = np.nonzero((a[:, None] < x) & (x < b[:, None]))
+    piece = np.concatenate((np.arange(len(a)), piece))
+    start = np.concatenate((a, x[atom]))
+    part = np.lexsort((start, piece))
+    piece, start = piece[part], start[part]
+    end = b[piece]  # or where the next part of the same piece starts
+    same = piece[1:] == piece[:-1]
+    end[:-1][same] = start[1:][same]
+    # atoms before pieces starting at the same position, as segments
+    v0, v1 = np.concatenate((x, start)), np.concatenate((x, end))
+    order = np.lexsort((np.arange(len(v0)) >= len(x), v0))
+    mass = np.concatenate((mass, d[piece] * (end - start)))
+    t0, t1, _, _ = _flat_segments(v0[order], mass[order])
+    return QuantileFn(np.stack((t0, t1, v0[order], v1[order]), axis=1))
 
 
 def measure_from_quantile(q: QuantileFn) -> LineMeasure:
     """The unique measure whose quantile function is ``q``.
 
-    Equivalently, the pushforward of Lebesgue measure on (0, 1) under ``q``.
+    Equivalently, the pushforward of Lebesgue measure on (0, 1) under ``q``:
+    flat segments become atoms, ramps density pieces.
     """
-    atoms = []
-    pieces = []
-    for t0, t1, v0, v1 in q.segments:
-        w = t1 - t0
-        if v1 == v0:
-            atoms.append((v0, w))
-        else:
-            pieces.append((v0, v1, w / (v1 - v0)))
-    return line_measure(atoms=atoms, pieces=pieces)
+    t0, t1, v0, v1 = q.arrays
+    w = t1 - t0
+    flat, ramp = v1 == v0, v1 != v0
+    return line_measure(
+        atoms=zip(v0[flat].tolist(), w[flat].tolist()),
+        pieces=zip(v0[ramp].tolist(), v1[ramp].tolist(), (w[ramp] / (v1 - v0)[ramp]).tolist()),
+    )
 
 
-def _segments(q: QuantileFn) -> tuple[np.ndarray, ...]:
-    """``q``'s segments as four arrays: t0, t1, v0, v1."""
-    return tuple(np.array(q.segments, dtype=float).T)
+def clamp_quantile(q: QuantileFn, lo: float, hi: float) -> QuantileFn:
+    """Pointwise median(lo, q, hi); stays monotone and piecewise linear.
+
+    A segment below ``lo`` or above ``hi`` goes flat there; one crossing a
+    bound splits where it crosses, into a part at ``lo``, a part between and
+    a part at ``hi``, and the empty parts are dropped.
+    """
+    if not lo < hi:
+        raise ValueError(f"clamp bounds must satisfy lo < hi, got {lo!r}, {hi!r}")
+    t0, t1, v0, v1 = q.arrays
+    below = v1 <= lo
+    above = ~below & (v0 >= hi)
+    # ta, tb: where the segment crosses lo and hi; t1 for both below, t0 above
+    ta, tb = np.where(below, t1, t0), np.where(above, t0, t1)
+    for cut, tx, bound in ((v0 < lo, ta, lo), (v1 > hi, tb, hi)):
+        cut &= ~below & ~above
+        tx[cut] = t0[cut] + (bound - v0[cut]) * (t1[cut] - t0[cut]) / (v1[cut] - v0[cut])
+    ta, tb = np.clip(ta, t0, t1), np.clip(tb, t0, t1)
+    lo_, hi_ = np.full_like(t0, lo), np.full_like(t0, hi)
+    # the middle part's values are max(v0, lo) and min(v1, hi), to the signed zero
+    parts = np.array([
+        (t0, ta, lo_, lo_),
+        (ta, tb, np.where(lo > v0, lo, v0), np.where(hi < v1, hi, v1)),
+        (tb, t1, hi_, hi_),
+    ]).transpose(2, 0, 1).reshape(-1, 4)
+    return QuantileFn(parts[parts[:, 0] < parts[:, 1]])
 
 
 def _flat_segments(x: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_segments` of the quantile function of atoms at sorted distinct
+    """The ``arrays`` of the quantile function of atoms at sorted distinct
     ``x``: ends the masses' running sums, the last 1.0, as in :func:`quantile`."""
     t = np.cumsum(np.concatenate(([0.0], mass)))
     _check_unit_mass(float(t[-1]), "quantile construction's mass")
@@ -249,7 +278,7 @@ def _flat_segments(x: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _cells(segments):
     """The merged breakpoint partition of quantile functions given by their
-    :func:`_segments`: the cell ends ``t`` (``np.unique``) and, per function,
+    ``arrays``: the cell ends ``t`` (``np.unique``) and, per function,
     its values at the cells' starts and ends. A cell lies in one segment
     (``np.searchsorted``): v0 at s0, v1 at s1, linear in between."""
     t = np.unique(np.concatenate([[0.0, 1.0], *(end for s in segments for end in s[:2])]))
@@ -276,7 +305,7 @@ def _sq_integral(p, r, width):
 
 
 def _w2_squared(s1, s2) -> float:
-    """:func:`w2_line_squared` of two quantile functions' :func:`_segments`."""
+    """:func:`w2_line_squared` of two quantile functions' ``arrays``."""
     t, ((a0, a1), (b0, b1)) = _cells([s1, s2])
     return _running_total(_sq_integral(a0 - b0, a1 - b1, np.diff(t)))
 
@@ -287,7 +316,7 @@ def w2_line_squared(m1: LineMeasure, m2: LineMeasure) -> float:
     Computed as the exact integral of the squared quantile difference over the
     union of both breakpoint partitions.
     """
-    return _w2_squared(_segments(quantile(m1)), _segments(quantile(m2)))
+    return _w2_squared(quantile(m1).arrays, quantile(m2).arrays)
 
 
 def w2_line(m1: LineMeasure, m2: LineMeasure) -> float:
@@ -309,8 +338,8 @@ def average_quantile(problem: Sequence[tuple[float, LineMeasure]]) -> QuantileFn
     """Weighted average of the quantile functions of the given measures."""
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
-    t, v0, v1 = _average(lams, [_segments(quantile(m)) for _, m in problem])
-    return QuantileFn(tuple(zip(t[:-1].tolist(), t[1:].tolist(), v0.tolist(), v1.tolist())))
+    t, v0, v1 = _average(lams, [quantile(m).arrays for _, m in problem])
+    return QuantileFn(np.stack((t[:-1], t[1:], v0, v1), axis=1))
 
 
 def barycenter_line(problem: Sequence[tuple[float, LineMeasure]]) -> LineMeasure:
@@ -331,7 +360,7 @@ def dispersion(problem: Sequence[tuple[float, LineMeasure]]) -> float:
     """
     lams = [lam for lam, _ in problem]
     _check_weights(lams)
-    t, values = _cells([_segments(quantile(m)) for _, m in problem])
+    t, values = _cells([quantile(m).arrays for _, m in problem])
     width = np.diff(t)
     second = mean0 = mean1 = 0.0
     for lam, (a0, a1) in zip(lams, values):

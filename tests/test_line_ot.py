@@ -8,12 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import mgbary
 from mgbary import (
     MeasureValidationError,
     QuantileFn,
     average_quantile,
     barycenter_line,
     cdf_eval,
+    clamp_quantile,
     dispersion,
     line_measure,
     line_measure_from_json,
@@ -119,6 +121,21 @@ class TestMeasureFromQuantile:
     def test_decreasing_segment_rejected(self):
         with pytest.raises(MeasureValidationError, match="decreasing"):
             QuantileFn(((0.0, 1.0, 1.0, 0.0),))
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            ((0.0, 1.0, math.nan, math.nan),),
+            ((0.0, 1.0, 0.0, math.inf),),
+            ((0.0, 1.0, -math.inf, 0.0),),
+            ((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 1.0, math.inf)),
+            ((0.0, math.nan, 0.0, 1.0), (math.nan, 1.0, 1.0, 2.0)),
+            ((0.0, math.inf, 0.0, 1.0), (math.inf, 1.0, 1.0, 2.0)),
+        ],
+    )
+    def test_non_finite_segment_rejected(self, segments):
+        with pytest.raises(MeasureValidationError, match="finite"):
+            QuantileFn(segments)
 
 
 class TestSupportBounds:
@@ -407,3 +424,180 @@ class TestCellWalk:
             shared += any(a & b for i, a in enumerate(ts) for b in ts[i + 1 :])
             inside += any(a < x < b for m in measures for x, _ in m.atoms for a, b, _ in m.pieces)
         assert shared >= 10 and inside >= 10
+
+
+def _reference_quantile(m):
+    """The tuple walk ``quantile`` replaces: one item per atom and per piece
+    part, sorted by (start, atoms first), masses summed in that order."""
+    atom_xs = [x for x, _ in m.atoms]
+    items = [(x, 0, ("atom", x, mass)) for x, mass in m.atoms]
+    for a, b, d in m.pieces:
+        lo = a
+        for c in [x for x in atom_xs if a < x < b]:
+            items.append((lo, 1, ("piece", lo, c, d)))
+            lo = c
+        items.append((lo, 1, ("piece", lo, b, d)))
+    items.sort(key=lambda it: (it[0], it[1]))
+    segs = []
+    t = 0.0
+    for _, _, payload in items:
+        if payload[0] == "atom":
+            _, x, mass = payload
+            segs.append([t, t + mass, x, x])
+        else:
+            _, a, b, d = payload
+            segs.append([t, t + d * (b - a), a, b])
+        t = segs[-1][1]
+    segs[-1][1] = 1.0
+    return tuple(tuple(s) for s in segs)
+
+
+def _reference_call(segments, t):
+    if t <= 0.0:
+        return segments[0][2]
+    if t >= 1.0:
+        return segments[-1][3]
+    i = bisect_right([s[0] for s in segments], t) - 1
+    t0, t1, v0, v1 = segments[i]
+    if t == t0:
+        return v0
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def _reference_measure_from_quantile(segments):
+    atoms = []
+    pieces = []
+    for t0, t1, v0, v1 in segments:
+        w = t1 - t0
+        if v1 == v0:
+            atoms.append((v0, w))
+        else:
+            pieces.append((v0, v1, w / (v1 - v0)))
+    return line_measure(atoms=atoms, pieces=pieces)
+
+
+def _reference_clamp(segments, lo, hi):
+    segs = []
+
+    def push(t0, t1, v0, v1):
+        if t1 > t0:
+            segs.append((t0, t1, v0, v1))
+
+    for t0, t1, v0, v1 in segments:
+        if v1 <= lo:
+            push(t0, t1, lo, lo)
+            continue
+        if v0 >= hi:
+            push(t0, t1, hi, hi)
+            continue
+        ta, tb = t0, t1
+        if v0 < lo:
+            ta = t0 + (lo - v0) * (t1 - t0) / (v1 - v0)
+            push(t0, min(ta, t1), lo, lo)
+        if v1 > hi:
+            tb = t0 + (hi - v0) * (t1 - t0) / (v1 - v0)
+        ta = min(max(ta, t0), t1)
+        tb = min(max(tb, t0), t1)
+        push(ta, tb, max(v0, lo), min(v1, hi))
+        if v1 > hi:
+            push(max(tb, t0), t1, hi, hi)
+    return tuple(segs)
+
+
+def _clamp_bounds(rng, q):
+    """Bounds below, above, around and inside the support, some cutting ramps."""
+    lo, hi = q.lower, q.upper
+    inside = sorted((q(rng.random()), q(rng.random())))
+    return [
+        (lo - 2.0, lo - 1.0),
+        (hi + 1.0, hi + 2.0),
+        (lo - 1.0, hi + 1.0),
+        (lo, hi),
+        tuple(inside),
+        (inside[0], hi + 1.0),
+        (lo - 1.0, inside[1]),
+        tuple(sorted((rng.uniform(lo - 1, hi + 1), rng.uniform(lo - 1, hi + 1)))),
+        (-0.0, 0.0) if lo < 0.0 else (0.0, 1.0),
+    ]
+
+
+class TestArrayCalculus:
+    """``QuantileFn`` keeps four arrays; ``quantile``, ``q(t)``,
+    ``measure_from_quantile`` and ``clamp_quantile`` must give the bits of
+    the tuple walks they replace."""
+
+    def _check(self, rng, q, reference, tally):
+        assert repr(q.segments) == repr(reference)
+        ts = [0.0, 1.0, -0.5, 1.5, *(rng.random() for _ in range(4)), *(s[0] for s in reference)]
+        assert repr([q(t) for t in ts]) == repr([_reference_call(reference, t) for t in ts])
+        assert repr(measure_from_quantile(q)) == repr(_reference_measure_from_quantile(reference))
+        for lo, hi in _clamp_bounds(rng, q):
+            if not lo < hi:
+                continue
+            c = clamp_quantile(q, lo, hi)
+            assert repr(c.segments) == repr(_reference_clamp(reference, lo, hi))
+            tally["cut"] += any(v0 < lo < v1 or v0 < hi < v1 for _, _, v0, v1 in reference)
+            tally["below"] += hi < q.lower
+            tally["above"] += lo > q.upper
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_the_tuple_walks(self, block):
+        tally = dict.fromkeys(["atoms", "inside", "gap", "cut", "below", "above", "avg"], 0)
+        for seed in range(75 * block, 75 * (block + 1)):
+            rng = random.Random(f"arrays:{seed}")
+            measures = [_cell_walk_measure(rng, seed % 2 == 0) for _ in range(4)]
+            if seed % 5 == 0:
+                measures[0] = line_measure(pieces=[(-0.0, 1.0, 0.5), (1.0, 2.0, 0.5)])
+            for m in measures:
+                reference = _reference_quantile(m)
+                self._check(rng, quantile(m), reference, tally)
+                tally["atoms"] += not m.pieces
+                tally["inside"] += any(a < x < b for x, _ in m.atoms for a, b, _ in m.pieces)
+                tally["gap"] += any(s[3] < t[2] for s, t in zip(reference, reference[1:]))
+            raw = [rng.random() + 0.1 for _ in measures]
+            q = average_quantile([(r / sum(raw), m) for r, m in zip(raw, measures)])
+            self._check(rng, q, q.segments, tally)
+            tally["avg"] += 1
+        assert tally["avg"] == 75 and min(tally.values()) >= 20, tally
+
+
+class TestPublicSurface:
+    def test_exported_names(self):
+        assert sorted(mgbary.__all__) == [
+            "BarycenterProblem", "BranchTag", "CoverContext", "DiscreteMeasure", "Edge",
+            "FixedPointResult", "GeodesicPath", "GraphMeasure", "GraphPoint",
+            "GraphValidationError", "LineMeasure", "MeasureValidationError", "MetricGraph",
+            "MgbaryError", "NonMinimizingEdgeError", "OrientedEdge", "ParseError",
+            "QuantileFn", "RegularityReport", "RestrictionResult", "SolverConsistencyError",
+            "SupportCapError", "TransportPlan", "average_quantile", "barycenter",
+            "barycenter_line", "barycenter_problem", "build_graph", "candidate_support",
+            "cdf_eval", "clamp_quantile", "classify_pair", "covering", "cut_points_from",
+            "decompose_plan", "discrete_measure", "discrete_to_graph_measure", "discretize",
+            "dispersion", "distance", "errors", "exceptional_set", "format_point",
+            "graph_measure", "graph_measure_from_json", "graph_measure_to_json", "h_eval",
+            "is_edge_minimizing", "lift_line_plan", "line_measure", "line_measure_from_json",
+            "line_measure_to_json", "line_ot", "make_cover_context", "measure_from_quantile",
+            "measure_on_edge_as_line", "metric_graph", "objective", "parse_point",
+            "path_segment_lengths", "phi", "preimage_count", "quantile", "regularity_report",
+            "restrict", "shortest_path", "solve_edge_fixed_point", "solve_lp",
+            "support_bounds", "tolerances", "transport", "w2_graph", "w2_line",
+            "w2_line_squared",
+        ]
+
+    def test_clamp_lives_in_line_ot(self):
+        assert mgbary.clamp_quantile is mgbary.line_ot.clamp_quantile
+        assert not hasattr(mgbary.barycenter, "clamp_quantile")
+
+    def test_quantile_functions_compare_by_segments(self):
+        segments = ((0.0, 0.25, -1.0, 0.0), (0.25, 1.0, 0.5, 0.5))
+        q = quantile(line_measure(atoms=[(0.5, 0.75)], pieces=[(-1.0, 0.0, 0.25)]))
+        same = QuantileFn(segments)
+        assert q == same and hash(q) == hash(same)
+        assert q != QuantileFn(((0.0, 1.0, 0.5, 0.5),))
+        assert repr(q) == repr(same) == f"QuantileFn(segments={segments!r})"
+
+    def test_arrays_are_read_only(self):
+        q = QuantileFn(((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 1.0, 1.0)))
+        with pytest.raises(ValueError):
+            q.arrays[0][0] = 0.25
+        assert q.segments == ((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 1.0, 1.0))

@@ -276,7 +276,7 @@ def test_fixed_point_rounds_build_no_quantile_objects(init):
     counted = [
         mgbary.line_ot.quantile,
         mgbary.line_ot.average_quantile,
-        mgbary.barycenter.clamp_quantile,
+        mgbary.line_ot.clamp_quantile,
         mgbary.line_ot.measure_from_quantile,
         mgbary.line_ot.line_measure,
     ]
