@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # unused here; perfbench/spans.py wraps it by this name
 
 from .covering import _unfold
 from .errors import ParseError
@@ -28,13 +28,15 @@ from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
     GraphMeasure,
+    _add_candidates,
     _branch_table,
+    _certified,
     _check_size,
     _certificate_tol,
     _cost_matrix,
     _coupling_lp,
     _edge_cells,
-    _solved,
+    _highs_model,
     _weight_reduced_costs,
     discrete_measure,
     discretize,
@@ -102,9 +104,9 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     Joint variables are the barycenter weights and one coupling per input;
     the constraints tie each coupling's first marginal to the weights and its
     second to the discretized input. The optimum is exact for the discretized
-    problem since everything is jointly linear. HiGHS solves it by interior
-    point with crossover to a vertex; every answer is accepted only after its
-    couplings' marginals and a dual certificate of optimality are checked.
+    problem since everything is jointly linear. Every answer is accepted only
+    after its couplings' marginals and a dual certificate of optimality are
+    checked.
 
     The optimal barycenter has small support, so each LP spans a candidate
     set S. Extended to every other candidate by the c-transform, its duals
@@ -112,7 +114,11 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     max cost)`` they are feasible for the whole grid's LP at the same value,
     so S's optimum is the grid's. Otherwise the worst candidates join S. S
     starts at the ``SEED_SIZE`` best Dirac positions. The cap still counts
-    every candidate against every input cell.
+    every candidate against every input cell. One HiGHS model serves every
+    round: the first is solved by interior point with crossover to a vertex,
+    as ``linprog(method="highs-ipm")`` solves it; each later round appends
+    the new candidates' rows and columns and runs a simplex warm-started
+    from the last basis.
 
     Raises
     ------
@@ -137,23 +143,28 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
     rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
     tol = max(_certificate_tol(cost) for cost in costs)
-    rounds = 0
+    lp = _coupling_lp([cost[rows] for cost in costs], weights)
+    highs, seed = _highs_model(*lp), len(rows)
+    col = np.zeros(n, dtype=int)  # each candidate's weight column, for those in S
+    col[rows] = np.arange(seed)
+    runs, options = [], {}
     while True:
-        rounds += 1
-        c, a_eq, b_eq = _coupling_lp([cost[rows] for cost in costs], weights)
-        res, x = _solved(linprog, c, a_eq, b_eq)
-        w = x[: len(rows)]
-        slack = _weight_reduced_costs(costs, res.eqlin.marginals)
+        res, x = _certified(highs, lp, **options)
+        runs.append((res.method, *res.nit))
+        slack = _weight_reduced_costs(costs, res.eqlin.marginals, seed)
         slack[rows] = np.inf
         worst = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
         worst = worst[slack[worst] < -tol]
         if not worst.size:
             break
-        rows = np.union1d(rows, worst)
+        lp, col[worst] = _add_candidates(highs, lp, [cost[worst] for cost in costs], seed)
+        rows, options = np.union1d(rows, worst), {"solver": "simplex"}
     _log.debug(
-        "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, min slack off S %r",
-        problem.grid, n, len(rows), rounds, float(slack.min()),
+        "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, each (method, IPM, crossover,"
+        " simplex iterations) %r, min slack off S %r",
+        problem.grid, n, len(rows), len(runs), tuple(runs), float(slack.min()),
     )
+    w = x[col[rows]]
     w /= w.sum()
     mu = discrete_measure(g, [(support[i], float(wi)) for i, wi in zip(rows, w) if wi > 0.0])
     return mu, float(res.fun)

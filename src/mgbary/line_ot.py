@@ -188,6 +188,8 @@ class QuantileFn:
         return float(self.arrays[3][-1])
 
     def __call__(self, t: float) -> float:
+        if math.isnan(t):
+            raise MeasureValidationError("quantile argument t is NaN")
         if t <= 0.0:
             return self.lower
         if t >= 1.0:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog  # unused here; perfbench/spans.py wraps it by this name
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
 
 from .errors import (
     MeasureValidationError,
@@ -307,13 +308,43 @@ def _coupling_lp(costs, targets, source=None):
     return np.concatenate(c), a_eq, np.concatenate(b)
 
 
-def _weight_reduced_costs(costs, y: np.ndarray) -> np.ndarray:
+def _add_candidates(highs, lp, costs, n: int):
+    """Join m more candidates, whose rows of coupling i's costs are
+    ``costs[i]``, to ``highs``, whose model ``lp = (c, a_eq, b_eq)`` starts
+    with a sourceless :func:`_coupling_lp` over n candidates. Candidate t adds
+    K row-sum equations (appended rows ``K * t`` on), then its weight column
+    (1 in the unit-mass row, -1 in its row sums) and its couplings' columns
+    (1 in their column-sum row and their row sum). Returns the grown ``lp``,
+    CSC, and the m weight columns."""
+    (c, a_eq, b_eq), m, ks = lp, costs[0].shape[0], [cost.shape[1] for cost in costs]
+    first = n + np.cumsum([0] + [n + k for k in ks])  # first column-sum row of each coupling
+    own = len(b_eq) + len(ks) * np.arange(m)[:, None] + np.arange(len(ks))  # m by K row sums
+    beta = np.concatenate([b + np.arange(k) for b, k in zip(first, ks)])
+    sums = own[:, np.repeat(np.arange(len(ks)), ks)]  # the row sum of each coupling column
+    pairs = np.stack([np.broadcast_to(beta, sums.shape), sums], -1)
+    index = np.hstack([np.full((m, 1), first[-1] - n), own, pairs.reshape(m, -1)]).ravel()
+    value = np.tile(np.r_[1.0, -np.ones(len(ks)), np.ones(2 * len(beta))], m)
+    starts = np.r_[0, np.cumsum(np.tile(np.r_[len(ks) + 1, np.full(len(beta), 2)], m))]
+    cost, zeros = np.hstack([np.zeros((m, 1)), *costs]).ravel(), np.zeros(m * len(ks))
+    highs.addRows(len(zeros), zeros, zeros, 0, [], [], [])
+    highs.addCols(len(cost), cost, np.zeros(len(cost)), np.full(len(cost), np.inf),
+                  len(index), starts[:-1], index, value)
+    a_eq = sparse.csc_matrix(a_eq)
+    a_eq = sparse.csc_matrix(
+        (np.r_[a_eq.data, value], np.r_[a_eq.indices, index], np.r_[a_eq.indptr, a_eq.nnz + starts[1:]]),
+        shape=(len(b_eq) + len(zeros), len(c) + len(cost)),
+    )
+    return (np.r_[c, cost], a_eq, np.r_[b_eq, zeros]), len(c) + (1 + len(beta)) * np.arange(m)
+
+
+def _weight_reduced_costs(costs, y: np.ndarray, n: int) -> np.ndarray:
     """Reduced cost of the barycenter weight at every row x of ``costs`` under
-    the duals ``y`` of a sourceless :func:`_coupling_lp` on some of its rows,
-    extended by the c-transform: ``sum_i min_j (costs[i][x, j] - beta_i[j]) - z``,
-    ``beta_i`` coupling i's column-sum duals and ``z`` the unit-mass row's."""
-    n = (len(y) - 1 - sum(cost.shape[1] for cost in costs)) // len(costs)
-    total = np.full(costs[0].shape[0], -y[-1])
+    the duals ``y`` of a model that starts with a sourceless
+    :func:`_coupling_lp` on n of its rows (:func:`_add_candidates` joins
+    the rest), extended by the c-transform: ``sum_i min_j (costs[i][x, j] -
+    beta_i[j]) - z``, ``beta_i`` coupling i's column-sum duals and ``z`` the
+    unit-mass row's, read at their rows in that first LP."""
+    total = np.full(costs[0].shape[0], -y[n * len(costs) + sum(cost.shape[1] for cost in costs)])
     row0 = 0
     for cost in costs:
         k = cost.shape[1]
@@ -351,29 +382,61 @@ def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solved(linprog, c: np.ndarray, a_eq, b_eq: np.ndarray):
-    """A :func:`_coupling_lp` solved by HiGHS (interior point, crossover to a
-    vertex) through ``linprog``, the caller's module binding: the result and
-    its :func:`_accepted` solution. ``solve_lp``'s joint LP is solved so; a
-    single coupling goes to :func:`_transport_simplex` instead. An answer
-    that fails acceptance is solved once more with HiGHS's feasibility and
-    optimality tolerances at ``HIGHS_TIGHT_TOL``, and only that answer's
-    failure is raised."""
-    def solve(**options):
-        return linprog(
-            c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm", options=options
-        )
+def _highs_model(c: np.ndarray, a_eq, b_eq: np.ndarray):
+    """A HiGHS model of ``min c @ x`` subject to ``a_eq @ x = b_eq`` and
+    ``x >= 0``, passed as CSC with the options of ``linprog(method=
+    "highs-ipm")``: interior point, then crossover to a vertex. Its first run
+    returns linprog's bits."""
+    lp, a, highs = HighsLp(), sparse.csc_array(a_eq), _Highs()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(b_eq)
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(len(c)), np.full(len(c), np.inf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    for option, value in (("output_flag", False), ("presolve", "on"), ("solver", "ipm")):
+        highs.setOptionValue(option, value)
+    highs.passModel(lp)
+    return highs
 
-    res = solve()
+
+def _highs_answer(highs, **options):
+    """Run ``highs`` after setting ``options`` on it, which stay set. The
+    answer reads as :func:`_accepted` reads a ``linprog`` result (``success``,
+    ``message``, ``x``, ``eqlin.marginals``, ``fun``), plus the run's
+    ``method`` and its IPM, crossover and simplex iteration counts ``nit``."""
+    for option, value in options.items():
+        highs.setOptionValue(option, value)
+    highs.run()
+    status, info, solution = highs.getModelStatus(), highs.getInfo(), highs.getSolution()
+    return SimpleNamespace(
+        success=status == HighsModelStatus.kOptimal,
+        message=highs.modelStatusToString(status),
+        x=np.array(solution.col_value),
+        eqlin=SimpleNamespace(marginals=np.array(solution.row_dual)),
+        fun=info.objective_function_value,
+        method=highs.getOptionValue("solver")[1],
+        nit=(info.ipm_iteration_count, info.crossover_iteration_count, info.simplex_iteration_count),
+    )
+
+
+def _certified(highs, lp, **options):
+    """:func:`_highs_answer` of ``highs``, whose model is ``lp = (c, a_eq,
+    b_eq)``, and its :func:`_accepted` solution. An answer that fails
+    acceptance is solved once more on the same model with HiGHS's
+    feasibility and optimality tolerances at ``HIGHS_TIGHT_TOL``, which stay
+    set, and only that answer's failure is raised."""
+    res = _highs_answer(highs, **options)
     try:
-        return res, _accepted(res, c, a_eq, b_eq)
+        return res, _accepted(res, *lp)
     except SolverConsistencyError:
-        res = solve(
+        res = _highs_answer(
+            highs,
             primal_feasibility_tolerance=HIGHS_TIGHT_TOL,
             dual_feasibility_tolerance=HIGHS_TIGHT_TOL,
             ipm_optimality_tolerance=HIGHS_TIGHT_TOL,
         )
-        return res, _accepted(res, c, a_eq, b_eq)
+        return res, _accepted(res, *lp)
 
 
 def _edge_frame(g: MetricGraph, edge_id: str, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):

@@ -229,12 +229,17 @@ class TestSolveLpMatchesDense:
             solve_lp(problem)
         records = [r.args for r in caplog.records if r.name == "mgbary"]
         assert len(records) == 1
-        grid, count, size, rounds, slack = records[0]
+        grid, count, size, rounds, runs, slack = records[0]
         support, costs, _ = _full_lp(problem)
         tol = REL_TOL * max(1.0, max(float(cost.max()) for cost in costs))
         assert grid == 1 / 64 and count == len(support)
         assert size <= count and slack >= -tol  # the certificate solve_lp accepts
-        assert rounds >= 2  # pricing added candidates
+        assert rounds >= 2 and len(runs) == rounds  # pricing added candidates
+        # round 1 by interior point (and crossover), each later one by a warm
+        # simplex, which pivots at least once since a candidate joined S
+        (method, ipm, _, _), *warm = runs
+        assert method == "ipm" and ipm > 0
+        assert all(method == "simplex" and ipm == 0 and simplex > 0 for method, ipm, _, simplex in warm)
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_fine_tripod_grid(self, n):

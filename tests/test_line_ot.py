@@ -137,6 +137,12 @@ class TestMeasureFromQuantile:
         with pytest.raises(MeasureValidationError, match="finite"):
             QuantileFn(segments)
 
+    def test_nan_argument_rejected(self):
+        q = quantile(line_measure(pieces=[(0.0, 1.0, 1.0)]))
+        with pytest.raises(MeasureValidationError, match="NaN"):
+            q(math.nan)
+        assert (q(-math.inf), q(0.5), q(math.inf)) == (0.0, 0.5, 1.0)
+
 
 class TestSupportBounds:
     def test_uniform(self):

@@ -42,7 +42,7 @@ from mgbary import (
     w2_graph,
 )
 from mgbary.tolerances import SNAP_TOL
-from mgbary.transport import _accepted, _coupling_lp, _solved
+from mgbary.transport import _accepted, _coupling_lp
 
 FALLBACK = "line route falls back to the transportation simplex"
 
@@ -94,11 +94,12 @@ def _unit(g, pairs):
 
 
 def _reference(g, m1, m2):
-    """The dense LP over scalar distances, solved by HiGHS and certified (and
-    solved once more at tight tolerances when the certificate fails)."""
+    """The dense LP over scalar distances, solved by HiGHS (interior point,
+    crossover to a vertex) and certified."""
     costs = np.array([[distance(g, x, y) ** 2 for y in m2.points] for x in m1.points])
     c, a_eq, b_eq = _coupling_lp([costs], [m2.weights], m1.weights)
-    res, _ = _solved(scipy.optimize.linprog, c, a_eq, b_eq)
+    res = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+    _accepted(res, c, a_eq, b_eq)
     return float(res.fun), (c, a_eq, b_eq)
 
 

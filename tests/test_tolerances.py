@@ -27,7 +27,7 @@ from mgbary import (
     w2_graph,
 )
 from mgbary.tolerances import HIGHS_TIGHT_TOL
-from conftest import make_triangle, make_tripod, tripod_outer_halves
+from conftest import make_square_with_chord, make_triangle, make_tripod, tripod_outer_halves
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -155,7 +155,7 @@ class TestMassWithinTheUnitTolerance:
 
 class TestSolveLpChecksItsCouplings:
     def test_drifted_coupling_is_reported(self, monkeypatch):
-        real = mgbary.barycenter.linprog
+        real = mgbary.transport._highs_answer
 
         def drifted(*args, **kwargs):
             res = real(*args, **kwargs)
@@ -166,9 +166,20 @@ class TestSolveLpChecksItsCouplings:
         g = make_tripod()
         problem = barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
         solve_lp(problem)
-        monkeypatch.setattr(mgbary.barycenter, "linprog", drifted)
+        monkeypatch.setattr(mgbary.transport, "_highs_answer", drifted)
         with pytest.raises(SolverConsistencyError, match="marginal residual"):
             solve_lp(problem)
+
+
+def _negated_costs(real, highs, **options):
+    """``real`` run on ``highs`` with its model's costs negated, then restored."""
+    c = np.array(highs.getLp().col_cost_)
+    columns = np.arange(len(c), dtype=np.int32)
+    highs.changeColsCost(len(c), columns, -c)
+    try:
+        return real(highs, **options)
+    finally:
+        highs.changeColsCost(len(c), columns, c)
 
 
 class TestSolveLpChecksItsCertificate:
@@ -176,21 +187,24 @@ class TestSolveLpChecksItsCertificate:
     ``solve_lp`` and the transportation simplex's for ``w2_graph``."""
 
     @staticmethod
-    def _worst_point(real, duals, c, *args, **kwargs):
-        # feasible but the most expensive vertex: duals of the negated cost
-        return real(-c, *args, **kwargs)
+    def _worst_point(real, duals, negated, *args, **kwargs):
+        # feasible but the most expensive vertex: the optimum of the negated costs
+        return negated(real, *args, **kwargs)
 
     @staticmethod
-    def _shifted_duals(real, duals, c, *args, **kwargs):
-        answer = real(c, *args, **kwargs)
+    def _shifted_duals(real, duals, negated, *args, **kwargs):
+        answer = real(*args, **kwargs)
         duals(answer)[-1] += 1e-6  # the last row, right-hand side > 0
         return answer
 
     @staticmethod
-    def _solve_lp():
+    def _solve_lp(problem=None):
         g = make_tripod()
-        problem = barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
-        return mgbary.barycenter, "linprog", lambda res: res.eqlin.marginals, lambda: solve_lp(problem)
+        problem = problem or barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
+        return (
+            mgbary.transport, "_highs_answer", lambda res: res.eqlin.marginals,
+            _negated_costs, lambda: solve_lp(problem),
+        )
 
     @staticmethod
     def _w2_graph():
@@ -198,7 +212,10 @@ class TestSolveLpChecksItsCertificate:
         g = make_tripod()
         m1 = discrete_measure(g, [(V("t1"), 0.5), (E("b2", 0.5), 0.5)])
         m2 = discrete_measure(g, [(V("t3"), 0.25), (E("b1", 0.25), 0.75)])
-        return mgbary.transport, "_transport_simplex", lambda answer: answer[1], lambda: w2_graph(g, m1, m2)
+        return (
+            mgbary.transport, "_transport_simplex", lambda answer: answer[1],
+            lambda real, c, *args: real(-c, *args), lambda: w2_graph(g, m1, m2),
+        )
 
     @pytest.mark.parametrize(
         "fault, solver",
@@ -209,31 +226,58 @@ class TestSolveLpChecksItsCertificate:
         ],
     )
     def test_non_optimal_answer_is_reported(self, monkeypatch, fault, solver):
-        module, name, duals, solve = getattr(self, solver)()
+        module, name, duals, negated, solve = getattr(self, solver)()
         real = getattr(module, name)
         solve()
         wrapper = getattr(self, fault)
-        monkeypatch.setattr(module, name, lambda *args, **kwargs: wrapper(real, duals, *args, **kwargs))
+        monkeypatch.setattr(
+            module, name, lambda *args, **kwargs: wrapper(real, duals, negated, *args, **kwargs)
+        )
         with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
             solve()
 
     def test_failed_answer_is_solved_once_more_at_tight_tolerances(self, monkeypatch):
-        module, _, duals, solve = self._solve_lp()
-        real = module.linprog
+        module, name, duals, negated, solve = self._solve_lp()
+        real = getattr(module, name)
         value = float(solve()[1])
         options = []
 
-        def first_shifted(c, **kwargs):
-            options.append(kwargs["options"])
+        def first_shifted(highs, **kwargs):
+            options.append(kwargs)
             if len(options) == 1:
-                return self._shifted_duals(real, duals, c, **kwargs)
-            return real(c, **kwargs)
+                return self._shifted_duals(real, duals, negated, highs, **kwargs)
+            return real(highs, **kwargs)
 
-        monkeypatch.setattr(module, "linprog", first_shifted)
+        monkeypatch.setattr(module, name, first_shifted)
         got = float(solve()[1])
         assert abs(got - value) <= 1e-12 * value
         assert options[0] == {} and len(options[1]) == 3
         assert set(options[1].values()) == {HIGHS_TIGHT_TOL}
+
+    def test_a_warm_round_is_certified_too(self, monkeypatch):
+        # three inputs on the square with a chord at h = 1/64: 3 LP rounds
+        g = make_square_with_chord()
+        pieces = [("q41", 0.05, 0.6, 1 / 0.55), ("q34", 0.4, 0.7, 1 / 0.3), ("q13", 0.1, 0.5, 1 / 0.4)]
+        measures = [(lam, graph_measure(g, pieces=[p])) for lam, p in zip((0.4, 0.35, 0.25), pieces)]
+        module, name, duals, negated, solve = self._solve_lp(barycenter_problem(g, measures, 1 / 64))
+        real = getattr(module, name)
+        solve()
+        options = []
+
+        # every run after round 1's; round 2's last row is a new candidate's
+        # row sum, whose shifted dual leaves a reduced cost of -1e-6
+        def later_shifted(highs, **kwargs):
+            options.append(kwargs)
+            if len(options) == 1:
+                return real(highs, **kwargs)
+            return self._shifted_duals(real, duals, negated, highs, **kwargs)
+
+        monkeypatch.setattr(module, name, later_shifted)
+        with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
+            solve()
+        # round 2's warm simplex run, then its re-solve, whose failure is raised
+        assert options[:2] == [{}, {"solver": "simplex"}] and len(options) == 3
+        assert set(options[2].values()) == {HIGHS_TIGHT_TOL}
 
 
 # masses, bounds and densities: half of them values that can add up to a

@@ -19,7 +19,7 @@ import scipy.optimize
 from conftest import random_point
 from mgbary import GraphPoint, solve_edge_fixed_point, w2_graph
 from mgbary.cli import main
-from mgbary.transport import _accepted, _coupling_lp, _solved, _transport_simplex
+from mgbary.transport import _accepted, _coupling_lp, _transport_simplex
 from test_barycenter import DENSE_REFERENCE_PROBLEMS, _pieces_problem
 from test_cli import tripod_problem
 from test_line_route import GRAPHS, _Recorder, _problem, _reference, _unit
@@ -30,7 +30,9 @@ def _answer(x, y):
 
 
 def _highs(costs, p, q):
-    res, _ = _solved(scipy.optimize.linprog, *_coupling_lp([costs], [q], p))
+    c, a_eq, b_eq = _coupling_lp([costs], [q], p)
+    res = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+    _accepted(res, c, a_eq, b_eq)
     return float(res.fun)
 
 
