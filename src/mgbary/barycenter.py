@@ -91,10 +91,8 @@ def candidate_support(problem: BarycenterProblem) -> list[GraphPoint]:
     g = problem.graph
     points = [GraphPoint.at_vertex(v) for v in g.vertices]
     for e in g.edges:
-        n, width = _edge_cells(e.length, problem.grid)
-        points.extend(
-            GraphPoint.on_edge(e.id, (k + 0.5) * width) for k in range(n)
-        )
+        centers, _ = _edge_cells(0.0, e.length, problem.grid)
+        points.extend(GraphPoint.on_edge(e.id, c) for c in centers.tolist())
     return points
 
 
@@ -170,20 +168,21 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     return mu, float(res.fun)
 
 
-def _edge_grid(g: MetricGraph, oe: OrientedEdge, h: float) -> list[GraphPoint]:
+def _edge_grid(g: MetricGraph, oe: OrientedEdge, h: float) -> tuple[list[GraphPoint], float]:
     """The points the fixed point's iterates live on: the oriented edge's
-    first and second endpoints, then the centers of its spacing-``h`` cells."""
+    first and second endpoints, then the centers of its spacing-``h`` cells,
+    with the cells' width."""
     e, (e0, e1) = g.edge(oe.edge), g.oriented_endpoints(oe)
-    n, width = _edge_cells(e.length, h)
-    centers = [GraphPoint.on_edge(e.id, g.flip_offset(oe, (k + 0.5) * width)) for k in range(n)]
-    return [GraphPoint.at_vertex(e0), GraphPoint.at_vertex(e1), *centers]
+    centers, width = _edge_cells(0.0, e.length, h)
+    centers = [GraphPoint.on_edge(e.id, g.flip_offset(oe, c)) for c in centers.tolist()]
+    return [GraphPoint.at_vertex(e0), GraphPoint.at_vertex(e1), *centers], width
 
 
-def _edge_grid_masses(x: np.ndarray, mass: np.ndarray, length: float, n: int) -> np.ndarray:
-    """Masses on the :func:`_edge_grid` of an edge of ``n`` cells of atoms at
+def _edge_grid_masses(x, mass, length: float, n: int, width: float) -> np.ndarray:
+    """Masses on the :func:`_edge_grid` (``n`` cells of ``width``) of atoms at
     ``x`` in [0, length]: an atom within ``SNAP_TOL`` of an end goes to that
     end, any other to the center of its cell, added in atom order."""
-    cell = np.minimum((x / (length / n)).astype(int), n - 1)  # width as _edge_cells gives it
+    cell = np.minimum((x / width).astype(int), n - 1)
     index = np.where(x <= SNAP_TOL, 0, np.where(x >= length - SNAP_TOL, 1, 2 + cell))
     return np.bincount(index, weights=mass, minlength=n + 2)
 
@@ -251,10 +250,10 @@ def solve_edge_fixed_point(
     if not valid:
         raise ParseError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     targets = _targets(problem)
-    grid = _edge_grid(g, oe, problem.grid)
+    grid, width = _edge_grid(g, oe, problem.grid)
     n = len(grid) - 2
     if init == "uniform":
-        k, width = np.arange(n), e.length / n
+        k = np.arange(n)
         w = np.r_[0.0, 0.0, (1.0 / e.length) * (np.minimum(e.length, (k + 1) * width) - k * width)]
     elif init == "vertex":
         w = np.r_[1.0, np.zeros(n + 1)]
@@ -286,7 +285,7 @@ def solve_edge_fixed_point(
             unfolded.append(_flat_segments(*_unfold(table, w[rows], target.weights)))
         t, v, _ = _average(lams, unfolded)
         x, mass = _merged_atoms(np.clip(v, 0.0, e.length), np.diff(t))
-        w = _edge_grid_masses(x, mass, e.length, n)
+        w = _edge_grid_masses(x, mass, e.length, n, width)
         new_line = line_view(w)
         converged = bool(np.sqrt(max(0.0, _w2_squared(new_line, prev_line))) <= eps)
         if converged:

@@ -201,12 +201,13 @@ def _check_size(count: float, what: str) -> None:
         )
 
 
-def _edge_cells(length: float, h: float) -> tuple[int, float]:
-    """Number and width of the equal cells of spacing at most ``h`` on a length."""
-    cells = length / h - REL_TOL
+def _edge_cells(a: float, b: float, h: float) -> tuple[np.ndarray, float]:
+    """Centers and width of the equal cells of spacing at most ``h`` on [a, b]."""
+    cells = (b - a) / h - REL_TOL
     _check_size(cells, "cells on one edge")
     n = max(1, math.ceil(cells))
-    return n, length / n
+    width = (b - a) / n
+    return a + (np.arange(n) + 0.5) * width, width
 
 
 def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
@@ -219,10 +220,8 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
     _check_grid(h)
     pairs: list[tuple[GraphPoint, float]] = list(m.atoms)
     for eid, a, b, d in m.pieces:
-        n, width = _edge_cells(b - a, h)
-        for k in range(n):
-            center = a + (k + 0.5) * width
-            pairs.append((GraphPoint.on_edge(eid, center), d * width))
+        centers, width = _edge_cells(a, b, h)
+        pairs.extend((GraphPoint.on_edge(eid, c), d * width) for c in centers.tolist())
     return discrete_measure(g, pairs)
 
 
@@ -275,32 +274,27 @@ def _cost_matrix(g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoi
     return np.float_power(_distance_matrix(g, xs, ys), 2)
 
 
-def _coupling_lp(costs, targets, source=None):
-    """``c``, CSR ``A_eq`` and ``b_eq`` of row-major couplings from one source.
-
-    Coupling ``i`` has the n by k cost matrix ``costs[i]``, then sits beside
-    the ones before it with n row-sum and k column-sum equations; its column
-    sums are ``targets[i]``. Its row sums are ``source`` or, when that is
-    None, n leading columns of cost 0 that a last equation sums to 1.
-    """
+def _coupling_lp(costs, targets):
+    """``c``, CSR ``A_eq`` and ``b_eq`` of the joint LP of row-major couplings
+    from one source of unknown weights: n leading columns of cost 0, which a
+    last equation sums to 1, then coupling ``i`` of n by k costs ``costs[i]``
+    with n equations of its row sums less the weights, then k of its column
+    sums, which are ``targets[i]``."""
     n = costs[0].shape[0]
-    lead = n if source is None else 0
-    c, indices, data, lengths, b = [np.zeros(lead)], [], [], [], []
-    col0, skip = lead, 0 if lead else 1  # skip: each row sum's leading column, if none
+    c, indices, data, lengths, b, col0 = [np.zeros(n)], [], [], [], [], n
     for cost, weights in zip(costs, targets):
         k = cost.shape[1]
         block = col0 + np.arange(n * k).reshape(n, k)
         c.append(cost.ravel())
-        indices += [np.hstack([np.arange(n)[:, None], block])[:, skip:].ravel(), block.T.ravel()]
-        data += [np.hstack([-np.ones((n, 1)), np.ones((n, k))])[:, skip:].ravel(), np.ones(n * k)]
-        lengths += [np.full(n, k + 1 - skip), np.full(k, n)]
-        b += [np.zeros(n) if lead else source, weights]
+        indices += [np.hstack([np.arange(n)[:, None], block]).ravel(), block.T.ravel()]
+        data += [np.hstack([-np.ones((n, 1)), np.ones((n, k))]).ravel(), np.ones(n * k)]
+        lengths += [np.full(n, k + 1), np.full(k, n)]
+        b += [np.zeros(n), weights]
         col0 += n * k
-    if lead:
-        indices.append(np.arange(n))
-        data.append(np.ones(n))
-        lengths.append([n])
-        b.append(np.ones(1))
+    indices.append(np.arange(n))
+    data.append(np.ones(n))
+    lengths.append([n])
+    b.append(np.ones(1))
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
     a_eq = sparse.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(indptr) - 1, col0)
@@ -311,10 +305,10 @@ def _coupling_lp(costs, targets, source=None):
 def _add_candidates(highs, lp, costs, n: int):
     """Join m more candidates, whose rows of coupling i's costs are
     ``costs[i]``, to ``highs``, whose model ``lp = (c, a_eq, b_eq)`` starts
-    with a sourceless :func:`_coupling_lp` over n candidates. Candidate t adds
-    K row-sum equations (appended rows ``K * t`` on), then its weight column
-    (1 in the unit-mass row, -1 in its row sums) and its couplings' columns
-    (1 in their column-sum row and their row sum). Returns the grown ``lp``,
+    with a :func:`_coupling_lp` over n candidates. Candidate t adds K
+    row-sum equations (appended rows ``K * t`` on), then its weight column (1
+    in the unit-mass row, -1 in its row sums) and its couplings' columns (1
+    in their column-sum row and their row sum). Returns the grown ``lp``,
     CSC, and the m weight columns."""
     (c, a_eq, b_eq), m, ks = lp, costs[0].shape[0], [cost.shape[1] for cost in costs]
     first = n + np.cumsum([0] + [n + k for k in ks])  # first column-sum row of each coupling
@@ -339,11 +333,11 @@ def _add_candidates(highs, lp, costs, n: int):
 
 def _weight_reduced_costs(costs, y: np.ndarray, n: int) -> np.ndarray:
     """Reduced cost of the barycenter weight at every row x of ``costs`` under
-    the duals ``y`` of a model that starts with a sourceless
-    :func:`_coupling_lp` on n of its rows (:func:`_add_candidates` joins
-    the rest), extended by the c-transform: ``sum_i min_j (costs[i][x, j] -
-    beta_i[j]) - z``, ``beta_i`` coupling i's column-sum duals and ``z`` the
-    unit-mass row's, read at their rows in that first LP."""
+    the duals ``y`` of a model that starts with a :func:`_coupling_lp` on n
+    of its rows (:func:`_add_candidates` joins the rest), extended by the
+    c-transform: ``sum_i min_j (costs[i][x, j] - beta_i[j]) - z``, ``beta_i``
+    coupling i's column-sum duals and ``z`` the unit-mass row's, read at
+    their rows in that first LP."""
     total = np.full(costs[0].shape[0], -y[n * len(costs) + sum(cost.shape[1] for cost in costs)])
     row0 = 0
     for cost in costs:
@@ -359,22 +353,35 @@ def _certificate_tol(c: np.ndarray) -> float:
 
 
 def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
-    """The solution ``x`` of a solved :func:`_coupling_lp`, entries below
-    ``LP_ZERO_TOL`` zeroed, once it meets every equation (each coupling's
-    marginals) within ``MARGINAL_TOL`` and the equality duals ``y`` prove the
-    solver's unzeroed ``x`` optimal: reduced costs ``c - A^T y >= -tol``, gap
-    ``|c^T x - b^T y| <= tol``, ``tol = REL_TOL * max(1, max c)``. Else
-    ``SolverConsistencyError``."""
+    """The :func:`_certificate` of a solved ``linprog``-shaped answer ``res``
+    to ``min c @ x``, ``a_eq @ x = b_eq``, ``x >= 0``, with equality duals."""
     if not res.success:
         raise SolverConsistencyError(f"LP solve failed: {res.message}")
-    x = np.where(res.x < LP_ZERO_TOL, 0.0, res.x)
-    residual = float(np.max(np.abs(a_eq @ x - b_eq)))
+    zeroed, y = np.where(res.x < LP_ZERO_TOL, 0.0, res.x), res.eqlin.marginals
+    gap = abs(float(c @ res.x) - float(b_eq @ y))
+    return _certificate(zeroed, a_eq @ zeroed - b_eq, c - a_eq.T @ y, gap, c)
+
+
+def _plan_accepted(costs: np.ndarray, p, q, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The :func:`_certificate` of an n by k plan ``x`` of weights ``p`` and
+    ``q`` under ``costs``, with n row then k column duals ``y``, in the bits
+    of :func:`_accepted`: sums in index order, as CSR sums a row."""
+    zeroed, b, n = np.where(x < LP_ZERO_TOL, 0.0, x), np.concatenate([p, q]), len(p)
+    sums = np.r_[np.cumsum(zeroed, axis=1)[:, -1], np.cumsum(zeroed, axis=0)[-1]]
+    gap = abs(float(costs.ravel() @ x.ravel()) - float(b @ y))
+    return _certificate(zeroed, sums - b, costs - (y[:n, None] + y[None, n:]), gap, costs)
+
+
+def _certificate(x: np.ndarray, residual, reduced, gap: float, c: np.ndarray) -> np.ndarray:
+    """``x``, entries below ``LP_ZERO_TOL`` zeroed, once ``residual = A x - b``
+    is within ``MARGINAL_TOL`` and ``reduced = c - A^T y >= -tol`` and ``gap =
+    |c^T x - b^T y| <= tol`` on the unzeroed ``x`` prove it optimal, ``tol =
+    REL_TOL * max(1, max c)``. Else ``SolverConsistencyError``."""
+    residual = float(np.max(np.abs(residual)))
     if not residual <= MARGINAL_TOL:
         raise SolverConsistencyError(f"plan marginal residual {residual!r} exceeds {MARGINAL_TOL}")
-    y = res.eqlin.marginals
     tol = _certificate_tol(c)
-    reduced = float(np.min(c - a_eq.T @ y))
-    gap = abs(float(c @ res.x) - float(b_eq @ y))
+    reduced = float(np.min(reduced))
     if not (reduced >= -tol and gap <= tol):
         raise SolverConsistencyError(
             f"dual certificate fails: min reduced cost {reduced!r}, gap {gap!r}, tolerance {tol!r}"
@@ -533,8 +540,8 @@ def _unfolded_plan(frame, p, q) -> np.ndarray:
 
 
 def _support_duals(costs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Duals of a plan ``x`` in :func:`_coupling_lp` row order, n row sums
-    then k column sums, made tight on its support.
+    """Duals of a plan ``x``, n row duals then k column duals, made tight
+    on its support, for :func:`_plan_accepted` to check.
 
     On each connected component of the support, ``u_x + psi_y = costs[x, y]``
     along a spanning tree; then one shift per component, found by a
@@ -583,8 +590,7 @@ def _support_duals(costs: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _transport_simplex(costs: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray, int]:
     """An optimal vertex of the n by k transportation problem of weights ``p``
     and ``q`` under ``costs``, by Dantzig's transportation simplex: the plan,
-    its duals in :func:`_coupling_lp` row order (n row sums, then k column
-    sums) and the number of pivots.
+    its duals (n row duals, then k column duals) and the number of pivots.
 
     The basis is a spanning tree of n + k - 1 cells over the n rows and k
     columns, zero cells included, rooted at row 0. The least-cost start takes
@@ -599,7 +605,7 @@ def _transport_simplex(costs: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray,
     degenerate pivots cannot cycle). Mass goes around the entering cell's
     tree cycle, and the cell that empties first leaves (the lowest index on
     a tie); the duals are read again below the cut. It stops when no reduced
-    cost is below ``_certificate_tol(costs)``, the slack :func:`_accepted`
+    cost is below ``_certificate_tol(costs)``, the slack :func:`_plan_accepted`
     allows, and raises ``SolverConsistencyError`` past ``n * k * (n + k)``
     pivots, which only a cycle made by rounding could reach.
     """
@@ -643,7 +649,7 @@ def _transport_simplex(costs: np.ndarray, p, q) -> tuple[np.ndarray, np.ndarray,
     pivots, bland = 0, False
     while True:
         y = np.array(pot)
-        reduced = costs - (y[:n, None] + y[None, n:])  # c - A^T y, as _accepted reads it
+        reduced = costs - (y[:n, None] + y[None, n:])  # c - A^T y, as _plan_accepted reads it
         cell = int(np.argmax(reduced < -tol) if bland else np.argmin(reduced))
         if not reduced.flat[cell] < -tol:
             return np.array(flow).reshape(n, k), y, pivots
@@ -688,24 +694,18 @@ def _optimal_coupling(costs: np.ndarray, p, q, frame=None) -> np.ndarray:
     :func:`_edge_frame` of these points holds every source, one strictly
     inside the edge, the plan of :func:`_unfolded_plan` with duals from
     :func:`_support_duals` is tried first; otherwise, or when it fails
-    :func:`_accepted`, :func:`_transport_simplex` solves the LP, and the
+    :func:`_plan_accepted`, :func:`_transport_simplex` solves the LP, and the
     miss is logged at DEBUG level on the ``mgbary`` logger with the pivots
-    that replaced it. Either answer passes :func:`_accepted`."""
+    that replaced it. Either plan is certified on its own arrays."""
     n, k = costs.shape
     if n == 1 or k == 1:  # the only coupling: the many side's weights
         return np.array(q if n == 1 else p, dtype=float).reshape(n, k)
-    lp = _coupling_lp([costs], [q], p)
-
-    def certified(x, y):
-        answer = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
-        return _accepted(answer, *lp).reshape(n, k)
-
     missed = None
     length, a = (0.0, np.array([np.nan])) if frame is None else frame[:2]
     if not np.isnan(a).any() and ((0.0 < a) & (a < length)).any():  # all on it, one inside
         x = _unfolded_plan(frame, p, q)
         try:
-            return certified(x, _support_duals(costs, x))
+            return _plan_accepted(costs, p, q, x, _support_duals(costs, x))
         except SolverConsistencyError as exc:
             missed = exc
     x, y, pivots = _transport_simplex(costs, p, q)
@@ -714,7 +714,7 @@ def _optimal_coupling(costs: np.ndarray, p, q, frame=None) -> np.ndarray:
             "line route falls back to the transportation simplex, %d pivots, n %d, k %d: %s",
             pivots, n, k, missed,
         )
-    return certified(x, y)
+    return _plan_accepted(costs, p, q, x, y)
 
 
 def w2_graph(
@@ -729,8 +729,8 @@ def w2_graph(
     :func:`_edge_frame` gives the costs, and :func:`_optimal_coupling` tries
     the plan on the unfolded line before the transportation simplex;
     otherwise the simplex solves the LP from a least-cost start, in numpy
-    and Python, without HiGHS. Both answers are deterministic for identical
-    inputs.
+    and Python, without HiGHS. Either plan passes a HiGHS answer's checks on
+    its own arrays; both are deterministic for identical inputs.
 
     Raises
     ------

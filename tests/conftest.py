@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy import sparse
 
 from mgbary import GraphPoint, build_graph, graph_measure
 
@@ -138,3 +140,38 @@ def square():
 @pytest.fixture
 def square_with_chord():
     return make_square_with_chord()
+
+
+def _coo_coupling_lp(costs, targets, source=None):
+    """The coupling LP in COO, converted by scipy to the CSR that
+    ``_coupling_lp`` writes directly. With a ``source``, the LP of one
+    transport problem: n row-sum equations equal to ``source``, then k
+    column-sum equations equal to ``targets[0]``, the layout whose answers
+    ``_accepted`` checks as ``_plan_accepted`` checks a plan; without one,
+    ``_coupling_lp``'s joint LP."""
+    n = costs[0].shape[0]
+    lead = n if source is None else 0
+    c, rows, cols, vals, b = [np.zeros(lead)], [], [], [], []
+    row0, col0 = 0, lead
+    for cost, weights in zip(costs, targets):
+        k = cost.shape[1]
+        c.append(cost.ravel())
+        rows += [row0 + np.repeat(np.arange(n), k), row0 + n + np.tile(np.arange(k), n)]
+        cols += [col0 + np.arange(n * k), col0 + np.arange(n * k)]
+        rows.append(row0 + np.arange(lead))
+        cols.append(np.arange(lead))
+        vals += [np.ones(2 * n * k), -np.ones(lead)]
+        b += [np.zeros(n) if lead else source, weights]
+        row0 += n + k
+        col0 += n * k
+    if lead:
+        rows.append(np.full(n, row0))
+        cols.append(np.arange(n))
+        vals.append(np.ones(n))
+        b.append(np.ones(1))
+        row0 += 1
+    a_eq = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row0, col0),
+    )
+    return np.concatenate(c), a_eq, np.concatenate(b)

@@ -453,23 +453,25 @@ class TestEdgeGridMasses:
     @pytest.mark.parametrize("length", GRID_LENGTHS)
     @pytest.mark.parametrize("h", GRID_SPACINGS)
     def test_atoms_on_ends_and_cell_boundaries(self, length, h):
-        n, width = _edge_cells(length, h)
+        centers, width = _edge_cells(0.0, length, h)
+        n = len(centers)
         xs = [0.0, SNAP_TOL, 2 * SNAP_TOL, *(k * width for k in range(n + 1)), length - SNAP_TOL, length]
         m = line_measure(atoms=[(x, 1.0 / len(xs)) for x in xs])
-        got = _edge_grid_masses(*np.array(m.atoms).T, length, n).tolist()
+        got = _edge_grid_masses(*np.array(m.atoms).T, length, n, width).tolist()
         assert got == _deposit_reference(m.atoms, length, n)
 
     @pytest.mark.parametrize("length", GRID_LENGTHS)
     @pytest.mark.parametrize("h", GRID_SPACINGS)
     def test_random_atomic_measures(self, length, h):
         rng = random.Random(f"{length}:{h}")
-        n, width = _edge_cells(length, h)
+        centers, width = _edge_cells(0.0, length, h)
+        n = len(centers)
         for _ in range(20):
             xs = [rng.uniform(0.0, length) for _ in range(rng.randint(1, 3 * n))]
             xs += [rng.randint(0, n) * width for _ in range(rng.randint(0, 3))]
             raw = [rng.random() for _ in xs]
             m = line_measure(atoms=[(x, r / sum(raw)) for x, r in zip(xs, raw)])
-            got = _edge_grid_masses(*np.array(m.atoms).T, length, n).tolist()
+            got = _edge_grid_masses(*np.array(m.atoms).T, length, n, width).tolist()
             assert got == _deposit_reference(m.atoms, length, n)
 
     @pytest.mark.parametrize("length", GRID_LENGTHS)
@@ -484,7 +486,45 @@ class TestEdgeGridMasses:
         g = make_segment(length)
         problem = barycenter_problem(g, [(1.0, graph_measure(g, atoms=[(V("L"), 1.0)]))], grid=h)
         solve_edge_fixed_point(problem, "seg", max_iter=1)
-        assert starts[0].tolist() == _uniform_reference(length, _edge_cells(length, h)[0])
+        assert starts[0].tolist() == _uniform_reference(length, len(_edge_cells(0.0, length, h)[0]))
+
+
+def _parent_cells(length, h):
+    """Cell count and width as ``_edge_cells`` gave them before it returned
+    the centers."""
+    n = max(1, math.ceil(length / h - REL_TOL))
+    return n, length / n
+
+
+class TestEdgeCells:
+    """``_edge_cells`` builds the centers that ``discretize``,
+    ``candidate_support`` and the fixed point's grid each built in a loop;
+    every center keeps its bits."""
+
+    def test_centers_of_a_piece(self):
+        rng = random.Random("edge cells")
+        for _ in range(200):
+            a = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+            b, h = a + rng.uniform(1e-3, 3.0), rng.choice([1 / 3, 1 / 64, 1 / 100, rng.uniform(1e-3, 1.0)])
+            n, width = _parent_cells(b - a, h)
+            centers, got_width = _edge_cells(a, b, h)
+            assert repr(centers.tolist()) == repr([a + (k + 0.5) * width for k in range(n)])
+            assert repr(got_width) == repr(width)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_edge_grid_and_candidates(self, reverse):
+        rng = random.Random(f"edge grid:{reverse}")
+        for _ in range(20):
+            length, h = rng.uniform(0.1, 3.0), rng.choice([1 / 3, 1 / 64, rng.uniform(1e-2, 1.0)])
+            g = make_segment(length)
+            oe = OrientedEdge("seg", reverse)
+            n, width = _parent_cells(length, h)
+            ends = [V("R"), V("L")] if reverse else [V("L"), V("R")]
+            want = ends + [E("seg", g.flip_offset(oe, (k + 0.5) * width)) for k in range(n)]
+            assert repr(mgbary.barycenter._edge_grid(g, oe, h)) == repr((want, width))
+            problem = barycenter_problem(g, [(1.0, graph_measure(g, atoms=[(V("L"), 1.0)]))], grid=h)
+            want = [V("L"), V("R")] + [E("seg", (k + 0.5) * width) for k in range(n)]
+            assert repr(candidate_support(problem)) == repr(want)
 
 
 class TestRegularityReport:

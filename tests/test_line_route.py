@@ -5,14 +5,16 @@ unfolding and accepts it only through the dual certificate every LP answer
 passes; the transportation simplex solves it when the certificate fails.
 These tests compare the line route with a dense LP written here, check that
 it never falls back on cycles, find a problem where the midpoint order
-misses the optimum and see the simplex answer it without HiGHS, and guard
-the number of transport LPs of a fixed point.
+misses the optimum and see the simplex answer it without HiGHS, check that
+a plan's own arrays certify it as its LP would, and guard the number of
+transport LPs of a fixed point.
 """
 
 import logging
 import random
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ import mgbary.covering
 import mgbary.line_ot
 import mgbary.transport
 from conftest import (
+    _coo_coupling_lp,
     make_skewed_square,
     make_square_with_chord,
     make_triangle,
@@ -42,7 +45,7 @@ from mgbary import (
     w2_graph,
 )
 from mgbary.tolerances import SNAP_TOL
-from mgbary.transport import _accepted, _coupling_lp
+from mgbary.transport import _accepted
 
 FALLBACK = "line route falls back to the transportation simplex"
 
@@ -97,19 +100,25 @@ def _reference(g, m1, m2):
     """The dense LP over scalar distances, solved by HiGHS (interior point,
     crossover to a vertex) and certified."""
     costs = np.array([[distance(g, x, y) ** 2 for y in m2.points] for x in m1.points])
-    c, a_eq, b_eq = _coupling_lp([costs], [m2.weights], m1.weights)
+    c, a_eq, b_eq = _coo_coupling_lp([costs], [m2.weights], m1.weights)
     res = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
     _accepted(res, c, a_eq, b_eq)
     return float(res.fun), (c, a_eq, b_eq)
 
 
+def _answer(x, y):
+    """A plan ``x`` and its duals ``y`` as ``_accepted`` reads a ``linprog`` result."""
+    return SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
+
+
 class _Recorder:
     """Counts the transport LPs of ``w2_graph`` that reach HiGHS (``lps``) and
-    the simplex (``simplex``), and keeps each answer it checks."""
+    the simplex (``simplex``), and keeps each plan it certifies, with its
+    duals, as an :func:`_answer`."""
 
     def __init__(self, monkeypatch):
         self.lps, self.simplex, self.answers = 0, 0, []
-        real_linprog, real_accepted = mgbary.transport.linprog, mgbary.transport._accepted
+        real_linprog, real_accepted = mgbary.transport.linprog, mgbary.transport._plan_accepted
         real_simplex = mgbary.transport._transport_simplex
 
         def linprog(*args, **kwargs):
@@ -120,12 +129,12 @@ class _Recorder:
             self.simplex += 1
             return real_simplex(*args)
 
-        def accepted(res, *lp):
-            self.answers.append(res)
-            return real_accepted(res, *lp)
+        def accepted(costs, p, q, x, y):
+            self.answers.append(_answer(x, y))
+            return real_accepted(costs, p, q, x, y)
 
         monkeypatch.setattr(mgbary.transport, "linprog", linprog)
-        monkeypatch.setattr(mgbary.transport, "_accepted", accepted)
+        monkeypatch.setattr(mgbary.transport, "_plan_accepted", accepted)
         monkeypatch.setattr(mgbary.transport, "_transport_simplex", simplex)
 
     def solve(self, g, m1, m2):
@@ -244,6 +253,75 @@ class TestFallback:
         assert capsys.readouterr() == ("", "")
 
 
+OUTCOMES = {
+    "accepted": "accepted",
+    "rejected plan marginal residual": "residual",
+    "rejected dual certificate fails": "certificate",
+}
+
+
+def _decision(check, *args) -> str:
+    """What a certificate check decides: the zeroed plan's bits, or its message."""
+    try:
+        return "accepted " + repr(check(*args).ravel().tolist())
+    except mgbary.SolverConsistencyError as exc:
+        return "rejected " + str(exc)
+
+
+def _answers(g, m1, m2, rng):
+    """``w2_graph``'s costs and the plans with duals it may certify: the line
+    route's, when ``_support_duals`` finds duals for it, and the simplex's,
+    each also with dust of 1e-14 in an empty cell (which the check zeroes,
+    though the gap counts it), then with that dust and one cell of its row
+    +1e-6, and with that dust and the last dual +1e-6; then the vertex
+    optimal for the negated costs, with its duals."""
+    p, q, frame = m1.weights, m2.weights, _frame(g, m1, m2)
+    costs = np.float_power(frame[3][2:], 2)
+    solved = [("simplex", *mgbary.transport._transport_simplex(costs, p, q)[:2])]
+    x = mgbary.transport._unfolded_plan(frame, p, q)
+    try:
+        solved.insert(0, ("line", x, mgbary.transport._support_duals(costs, x)))
+    except mgbary.SolverConsistencyError:
+        pass
+    answers = []
+    for route, x, y in solved:
+        dust, shifted = x.copy(), y.copy()
+        i, j = rng.choice(np.argwhere(x == 0.0))
+        dust[i, j] = 1e-14
+        cell = dust.copy()
+        cell[i, rng.randrange(x.shape[1])] += 1e-6
+        shifted[-1] += 1e-6
+        answers += [(route, x, y), (f"{route} dust", dust, y), (f"{route} cell", cell, y),
+                    (f"{route} dual", dust, shifted)]
+    answers.append(("negated", *mgbary.transport._transport_simplex(-costs, p, q)[:2]))
+    return costs, answers
+
+
+def test_plan_check_decides_as_the_lp_check():
+    """``_plan_accepted`` reads a plan's marginals, reduced costs and gap off
+    its own arrays. On seeded answers of both routes and on faulted ones, it
+    returns the same zeroed plan, bit for bit, or raises the same message as
+    ``_accepted`` on the plan's single-coupling LP."""
+    decided = {}
+    for name in GRAPHS:
+        g, rng = GRAPHS[name](), random.Random(f"plan check:{name}")
+        for i in range(16):
+            m1, m2 = _problem(g, rng, spread=i % 2 == 0)
+            costs, answers = _answers(g, m1, m2, rng)
+            lp = _coo_coupling_lp([costs], [m2.weights], m1.weights)
+            for route, x, y in answers:
+                got = _decision(mgbary.transport._plan_accepted, costs, m1.weights, m2.weights, x, y)
+                assert got == _decision(_accepted, _answer(x, y), *lp), (name, i, route)
+                kind = next(v for k, v in OUTCOMES.items() if got.startswith(k))
+                decided.setdefault(route, set()).add(kind)
+    assert decided == {
+        "line": {"accepted"}, "simplex": {"accepted"},  # a line miss fails in _support_duals
+        "line cell": {"residual"}, "simplex cell": {"residual"},
+        "line dust": {"accepted"}, "simplex dust": {"accepted"},
+        "line dual": {"certificate"}, "simplex dual": {"certificate"}, "negated": {"certificate"},
+    }
+
+
 def _cycle_problem():
     g = make_triangle()
     inputs = [(0.25, ("e_AC", 0.3, 0.95, 1 / 0.65)), (0.25, ("e_AB", 0.0, 0.6, 1 / 0.6)),
@@ -266,6 +344,22 @@ def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
     for init in ("uniform", "vertex"):
         assert solve_edge_fixed_point(problem, "e_BC", init=init).converged
     assert len(cut_cases) > 0 and recorder.lps == recorder.simplex == 0
+
+
+def test_plans_are_certified_without_an_lp(monkeypatch):
+    """A plan is certified from its own arrays: neither the cut cases of a
+    fixed point nor a ``w2_graph`` that falls back to the simplex builds a
+    coupling LP."""
+    built = []
+    real = mgbary.transport._coupling_lp
+    monkeypatch.setattr(mgbary.transport, "_coupling_lp", lambda *args: built.append(1) or real(*args))
+    recorder = _Recorder(monkeypatch)
+    assert solve_edge_fixed_point(_cycle_problem(), "e_BC").converged
+    assert recorder.answers  # cut cases of more than one source and target
+    g, m1, m2, _ = _missed_problem()
+    recorder.solve(g, m1, m2)
+    assert recorder.simplex == 1
+    assert built == []
 
 
 @pytest.mark.parametrize("init", ["uniform", "vertex"])

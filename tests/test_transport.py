@@ -4,7 +4,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from mgbary import (
     BranchTag,
@@ -25,7 +24,7 @@ from mgbary import (
     w2_graph,
 )
 from mgbary.transport import _cost_matrix, _coupling_lp
-from conftest import make_segment, random_point
+from conftest import _coo_coupling_lp, make_segment, random_point
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -411,37 +410,6 @@ class TestJson:
         assert back == m
 
 
-def _coo_coupling_lp(costs, targets, source=None):
-    """``_coupling_lp`` assembled as before it wrote CSR directly: row and
-    column indices in COO, converted by scipy."""
-    n = costs[0].shape[0]
-    lead = n if source is None else 0
-    c, rows, cols, vals, b = [np.zeros(lead)], [], [], [], []
-    row0, col0 = 0, lead
-    for cost, weights in zip(costs, targets):
-        k = cost.shape[1]
-        c.append(cost.ravel())
-        rows += [row0 + np.repeat(np.arange(n), k), row0 + n + np.tile(np.arange(k), n)]
-        cols += [col0 + np.arange(n * k), col0 + np.arange(n * k)]
-        rows.append(row0 + np.arange(lead))
-        cols.append(np.arange(lead))
-        vals += [np.ones(2 * n * k), -np.ones(lead)]
-        b += [np.zeros(n) if lead else source, weights]
-        row0 += n + k
-        col0 += n * k
-    if lead:
-        rows.append(np.full(n, row0))
-        cols.append(np.arange(n))
-        vals.append(np.ones(n))
-        b.append(np.ones(1))
-        row0 += 1
-    a_eq = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row0, col0),
-    )
-    return np.concatenate(c), a_eq, np.concatenate(b)
-
-
 class TestCouplingLp:
     """``_coupling_lp`` writes CSR directly; HiGHS must see the arrays the
     COO conversion gave."""
@@ -453,13 +421,6 @@ class TestCouplingLp:
         ]:
             assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
         assert got[1].format == "csr" and got[1].shape == want[1].shape
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_one_coupling_from_a_source(self, n):
-        rng = np.random.default_rng(n)
-        for k in (1, 3, 7):
-            costs, q, p = rng.random((n, k)), rng.random(k), rng.random(n)
-            self._assert_same(_coupling_lp([costs], [q], p), _coo_coupling_lp([costs], [q], p))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_sourceless_couplings_with_the_unit_mass_row(self, n):

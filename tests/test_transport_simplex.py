@@ -10,27 +10,22 @@ is an edge's two endpoints, the CLI's fixed point, and a grid graph's
 
 import json
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import random_point
+from conftest import _coo_coupling_lp, random_point
 from mgbary import GraphPoint, solve_edge_fixed_point, w2_graph
 from mgbary.cli import main
-from mgbary.transport import _accepted, _coupling_lp, _transport_simplex
+from mgbary.transport import _accepted, _plan_accepted, _transport_simplex
 from test_barycenter import DENSE_REFERENCE_PROBLEMS, _pieces_problem
 from test_cli import tripod_problem
-from test_line_route import GRAPHS, _Recorder, _problem, _reference, _unit
-
-
-def _answer(x, y):
-    return SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
+from test_line_route import GRAPHS, _answer, _Recorder, _problem, _reference, _unit
 
 
 def _highs(costs, p, q):
-    c, a_eq, b_eq = _coupling_lp([costs], [q], p)
+    c, a_eq, b_eq = _coo_coupling_lp([costs], [q], p)
     res = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
     _accepted(res, c, a_eq, b_eq)
     return float(res.fun)
@@ -47,6 +42,7 @@ def test_seeded_problems_match_highs(name):
         costs = lp[0].reshape(len(m1.points), len(m2.points))
         x, y, _ = _transport_simplex(costs, m1.weights, m2.weights)
         assert abs(float(lp[0] @ x.ravel()) - value) <= 1e-12 * value, (name, i)
+        _plan_accepted(costs, m1.weights, m2.weights, x, y)
         _accepted(_answer(x, y), *lp)
 
 
@@ -87,7 +83,8 @@ def test_degenerate_problems_end_within_the_pivot_bound():
             assert pivots == 0
         value = _highs(costs, p, q)
         assert abs(float((x * costs).sum()) - value) <= 1e-12 * max(value, 1.0)
-        _accepted(_answer(x, y), *_coupling_lp([costs], [q], p))
+        _plan_accepted(costs, p, q, x, y)
+        _accepted(_answer(x, y), *_coo_coupling_lp([costs], [q], p))
 
 
 def test_endpoint_only_sources_are_solved_by_the_simplex(monkeypatch):
