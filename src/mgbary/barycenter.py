@@ -34,7 +34,6 @@ from .transport import (
     _check_size,
     _certificate_tol,
     _cost_matrix,
-    _coupling_lp,
     _edge_cells,
     _highs_model,
     _weight_reduced_costs,
@@ -47,7 +46,7 @@ from .tolerances import SNAP_TOL
 from .tolerances import _check_grid, _check_threshold, _check_weights
 
 _log = logging.getLogger("mgbary")
-SEED_SIZE = 16  # candidates of solve_lp's first LP
+SEED_SIZE = 16  # candidates solve_lp appends before its first run: the best Dirac positions
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,13 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     set S. Extended to every other candidate by the c-transform, its duals
     price the weight there; when no reduced cost is below ``-REL_TOL * max(1,
     max cost)`` they are feasible for the whole grid's LP at the same value,
-    so S's optimum is the grid's. Otherwise the worst candidates join S. S
-    starts at the ``SEED_SIZE`` best Dirac positions. The cap still counts
-    every candidate against every input cell. One HiGHS model serves every
-    round: the first is solved by interior point with crossover to a vertex,
-    as ``linprog(method="highs-ipm")`` solves it; each later round appends
-    the new candidates' rows and columns and runs a simplex warm-started
-    from the last basis.
+    so S's optimum is the grid's. Otherwise the worst candidates join S. The
+    cap still counts every candidate against every input cell. One HiGHS
+    model serves every round: each round appends its new candidates, in the
+    layout of :func:`_add_candidates`, the first round the ``SEED_SIZE``
+    best Dirac positions; the first run is interior point with crossover to
+    a vertex, in the bits ``linprog(method="highs-ipm")`` gives on the same
+    arrays, and each later run a simplex warm-started from the last basis.
 
     Raises
     ------
@@ -139,24 +138,20 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, ends, axis=1))]
     weights = [t.weights for _, t in targets]
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
-    rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
+    new = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
     tol = max(_certificate_tol(cost) for cost in costs)
-    lp = _coupling_lp([cost[rows] for cost in costs], weights)
-    highs, seed = _highs_model(*lp), len(rows)
-    col = np.zeros(n, dtype=int)  # each candidate's weight column, for those in S
-    col[rows] = np.arange(seed)
+    highs, lp = _highs_model(np.r_[np.concatenate(weights), 1.0])
+    rows, col = new[:0], np.zeros(n, dtype=int)  # S, and each candidate's weight column once in S
     runs, options = [], {}
-    while True:
+    while new.size:
+        lp, col[new] = _add_candidates(highs, lp, [cost[new] for cost in costs])
+        rows = np.union1d(rows, new)
         res, x = _certified(highs, lp, **options)
         runs.append((res.method, *res.nit))
-        slack = _weight_reduced_costs(costs, res.eqlin.marginals, seed)
+        slack = _weight_reduced_costs(costs, res.eqlin.marginals)
         slack[rows] = np.inf
-        worst = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
-        worst = worst[slack[worst] < -tol]
-        if not worst.size:
-            break
-        lp, col[worst] = _add_candidates(highs, lp, [cost[worst] for cost in costs], seed)
-        rows, options = np.union1d(rows, worst), {"solver": "simplex"}
+        new = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
+        new, options = new[slack[new] < -tol], {"solver": "simplex"}
     _log.debug(
         "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, each (method, IPM, crossover,"
         " simplex iterations) %r, min slack off S %r",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -228,6 +229,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built on the first call, once per process; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="mgbary",

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog  # unused here; perfbench/spans.py wraps it by this name
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import (
     MeasureValidationError,
@@ -274,76 +274,47 @@ def _cost_matrix(g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoi
     return np.float_power(_distance_matrix(g, xs, ys), 2)
 
 
-def _coupling_lp(costs, targets):
-    """``c``, CSR ``A_eq`` and ``b_eq`` of the joint LP of row-major couplings
-    from one source of unknown weights: n leading columns of cost 0, which a
-    last equation sums to 1, then coupling ``i`` of n by k costs ``costs[i]``
-    with n equations of its row sums less the weights, then k of its column
-    sums, which are ``targets[i]``."""
-    n = costs[0].shape[0]
-    c, indices, data, lengths, b, col0 = [np.zeros(n)], [], [], [], [], n
-    for cost, weights in zip(costs, targets):
-        k = cost.shape[1]
-        block = col0 + np.arange(n * k).reshape(n, k)
-        c.append(cost.ravel())
-        indices += [np.hstack([np.arange(n)[:, None], block]).ravel(), block.T.ravel()]
-        data += [np.hstack([-np.ones((n, 1)), np.ones((n, k))]).ravel(), np.ones(n * k)]
-        lengths += [np.full(n, k + 1), np.full(k, n)]
-        b += [np.zeros(n), weights]
-        col0 += n * k
-    indices.append(np.arange(n))
-    data.append(np.ones(n))
-    lengths.append([n])
-    b.append(np.ones(1))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-    a_eq = sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(indptr) - 1, col0)
-    )
-    return np.concatenate(c), a_eq, np.concatenate(b)
-
-
-def _add_candidates(highs, lp, costs, n: int):
+def _add_candidates(highs, lp, costs):
     """Join m more candidates, whose rows of coupling i's costs are
-    ``costs[i]``, to ``highs``, whose model ``lp = (c, a_eq, b_eq)`` starts
-    with a :func:`_coupling_lp` over n candidates. Candidate t adds K
-    row-sum equations (appended rows ``K * t`` on), then its weight column (1
-    in the unit-mass row, -1 in its row sums) and its couplings' columns (1
-    in their column-sum row and their row sum). Returns the grown ``lp``,
-    CSC, and the m weight columns."""
+    ``costs[i]``, to ``highs`` and to its model ``lp = (c, a_eq, b_eq)``,
+    from :func:`_highs_model` or an earlier call.
+
+    The joint LP is laid out candidate by candidate. Its first rows are the
+    column sums of coupling 0, 1, ..., K - 1 (``b_eq`` the inputs' weights),
+    then the unit-mass row. Each candidate appends one block: K rows, the row
+    sums of its K couplings less its weight (``b_eq`` 0), then its weight
+    column (cost 0, 1 in the unit-mass row, -1 in its row sums), then the
+    columns of its rows of couplings 0, ..., K - 1 (1 in their column-sum
+    row and in its row sum). Returns the grown ``lp``, CSC, and the m
+    weight columns."""
     (c, a_eq, b_eq), m, ks = lp, costs[0].shape[0], [cost.shape[1] for cost in costs]
-    first = n + np.cumsum([0] + [n + k for k in ks])  # first column-sum row of each coupling
+    unit = sum(ks)  # the unit-mass row, after every column-sum row
     own = len(b_eq) + len(ks) * np.arange(m)[:, None] + np.arange(len(ks))  # m by K row sums
-    beta = np.concatenate([b + np.arange(k) for b, k in zip(first, ks)])
     sums = own[:, np.repeat(np.arange(len(ks)), ks)]  # the row sum of each coupling column
-    pairs = np.stack([np.broadcast_to(beta, sums.shape), sums], -1)
-    index = np.hstack([np.full((m, 1), first[-1] - n), own, pairs.reshape(m, -1)]).ravel()
-    value = np.tile(np.r_[1.0, -np.ones(len(ks)), np.ones(2 * len(beta))], m)
-    starts = np.r_[0, np.cumsum(np.tile(np.r_[len(ks) + 1, np.full(len(beta), 2)], m))]
+    pairs = np.stack([np.broadcast_to(np.arange(unit), sums.shape), sums], -1)
+    index = np.hstack([np.full((m, 1), unit), own, pairs.reshape(m, -1)]).ravel()
+    value = np.tile(np.r_[1.0, -np.ones(len(ks)), np.ones(2 * unit)], m)
+    starts = np.r_[0, np.cumsum(np.tile(np.r_[len(ks) + 1, np.full(unit, 2)], m))]
     cost, zeros = np.hstack([np.zeros((m, 1)), *costs]).ravel(), np.zeros(m * len(ks))
     highs.addRows(len(zeros), zeros, zeros, 0, [], [], [])
     highs.addCols(len(cost), cost, np.zeros(len(cost)), np.full(len(cost), np.inf),
                   len(index), starts[:-1], index, value)
-    a_eq = sparse.csc_matrix(a_eq)
     a_eq = sparse.csc_matrix(
         (np.r_[a_eq.data, value], np.r_[a_eq.indices, index], np.r_[a_eq.indptr, a_eq.nnz + starts[1:]]),
         shape=(len(b_eq) + len(zeros), len(c) + len(cost)),
     )
-    return (np.r_[c, cost], a_eq, np.r_[b_eq, zeros]), len(c) + (1 + len(beta)) * np.arange(m)
+    return (np.r_[c, cost], a_eq, np.r_[b_eq, zeros]), len(c) + (1 + unit) * np.arange(m)
 
 
-def _weight_reduced_costs(costs, y: np.ndarray, n: int) -> np.ndarray:
+def _weight_reduced_costs(costs, y: np.ndarray) -> np.ndarray:
     """Reduced cost of the barycenter weight at every row x of ``costs`` under
-    the duals ``y`` of a model that starts with a :func:`_coupling_lp` on n
-    of its rows (:func:`_add_candidates` joins the rest), extended by the
+    the duals ``y`` of an :func:`_add_candidates` model, extended by the
     c-transform: ``sum_i min_j (costs[i][x, j] - beta_i[j]) - z``, ``beta_i``
-    coupling i's column-sum duals and ``z`` the unit-mass row's, read at
-    their rows in that first LP."""
-    total = np.full(costs[0].shape[0], -y[n * len(costs) + sum(cost.shape[1] for cost in costs)])
-    row0 = 0
-    for cost in costs:
-        k = cost.shape[1]
-        total += np.min(cost - y[row0 + n : row0 + n + k], axis=1)
-        row0 += n + k
+    coupling i's column-sum duals and ``z`` the unit-mass row's."""
+    ends = np.cumsum([cost.shape[1] for cost in costs])
+    total = np.full(costs[0].shape[0], -y[ends[-1]])
+    for cost, beta in zip(costs, np.split(y[: ends[-1]], ends[:-1])):
+        total += np.min(cost - beta, axis=1)
     return total
 
 
@@ -389,22 +360,17 @@ def _certificate(x: np.ndarray, residual, reduced, gap: float, c: np.ndarray) ->
     return x
 
 
-def _highs_model(c: np.ndarray, a_eq, b_eq: np.ndarray):
-    """A HiGHS model of ``min c @ x`` subject to ``a_eq @ x = b_eq`` and
-    ``x >= 0``, passed as CSC with the options of ``linprog(method=
-    "highs-ipm")``: interior point, then crossover to a vertex. Its first run
-    returns linprog's bits."""
-    lp, a, highs = HighsLp(), sparse.csc_array(a_eq), _Highs()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(b_eq)
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(len(c)), np.full(len(c), np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
+def _highs_model(b_eq: np.ndarray):
+    """A HiGHS model of the rows ``a_eq @ x = b_eq`` and no columns yet, with
+    the options of ``linprog(method="highs-ipm")``: interior point, then
+    crossover to a vertex; and its ``lp = (c, a_eq, b_eq)``, CSC, for
+    :func:`_add_candidates` to grow. Its first run returns the bits
+    ``linprog`` gives on the grown arrays."""
+    highs = _Highs()
     for option, value in (("output_flag", False), ("presolve", "on"), ("solver", "ipm")):
         highs.setOptionValue(option, value)
-    highs.passModel(lp)
-    return highs
+    highs.addRows(len(b_eq), b_eq, b_eq, 0, [], [], [])
+    return highs, (np.zeros(0), sparse.csc_matrix((len(b_eq), 0)), b_eq)
 
 
 def _highs_answer(highs, **options):
@@ -824,15 +790,17 @@ def decompose_plan(
     """Split a plan whose sources lie on the base edge by geodesic class.
 
     The three parts sum back to the plan entry by entry; on a minimizing edge
-    the PLUS and MINUS parts cannot overlap.
+    the PLUS and MINUS parts cannot overlap. Their costs are read from the
+    distances the branch table was classified by.
     """
     rows = _indexed(x for x, _, _ in plan.entries)
     cols = _indexed(y for _, y, _ in plan.entries)
-    tags = _branch_table(g, oe, list(rows), list(cols))[0]
+    tags, _, frame = _branch_table(g, oe, list(rows), list(cols))
     parts: list[list] = [[] for _ in BranchTag]
     for x, y, m in plan.entries:
         parts[tags[rows[x], cols[y]]].append((x, y, m))
-    return tuple(_make_plan(g, part) for part in parts)
+    costs = list(rows), list(cols), np.float_power(frame[3][2:], 2)
+    return tuple(_make_plan(g, part, costs) for part in parts)
 
 
 @dataclass(frozen=True)

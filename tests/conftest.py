@@ -143,12 +143,14 @@ def square_with_chord():
 
 
 def _coo_coupling_lp(costs, targets, source=None):
-    """The coupling LP in COO, converted by scipy to the CSR that
-    ``_coupling_lp`` writes directly. With a ``source``, the LP of one
-    transport problem: n row-sum equations equal to ``source``, then k
-    column-sum equations equal to ``targets[0]``, the layout whose answers
-    ``_accepted`` checks as ``_plan_accepted`` checks a plan; without one,
-    ``_coupling_lp``'s joint LP."""
+    """The coupling LP in COO, converted by scipy to CSR. With a ``source``,
+    the LP of one transport problem: n row-sum equations equal to
+    ``source``, then k column-sum equations equal to ``targets[0]``, the
+    layout whose answers ``_accepted`` checks as ``_plan_accepted`` checks a
+    plan. Without one, the joint LP coupling by coupling: n weight columns,
+    then each coupling's n by k columns, row-major; its n row sums less the
+    weights, then its k column sums; the unit-mass row last. This is
+    ``_add_candidates``' LP with its rows and columns permuted."""
     n = costs[0].shape[0]
     lead = n if source is None else 0
     c, rows, cols, vals, b = [np.zeros(lead)], [], [], [], []

@@ -40,8 +40,9 @@ from mgbary import (
 )
 from mgbary.barycenter import _edge_grid_masses
 from mgbary.tolerances import REL_TOL, SNAP_TOL
-from mgbary.transport import _accepted, _cost_matrix, _coupling_lp, _edge_cells
+from mgbary.transport import _accepted, _cost_matrix, _edge_cells
 from conftest import (
+    _coo_coupling_lp,
     make_segment,
     make_skewed_square,
     make_square_with_chord,
@@ -144,7 +145,7 @@ def _dense_reference(problem):
     """The joint LP over every candidate of the grid, solved and accepted as
     ``solve_lp`` accepts an LP: the measure's weights by point, and the value."""
     support, costs, weights = _full_lp(problem)
-    c, a_eq, b_eq = _coupling_lp(costs, weights)
+    c, a_eq, b_eq = _coo_coupling_lp(costs, weights)
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
     w = _accepted(res, c, a_eq, b_eq)[: len(support)]
     w /= w.sum()

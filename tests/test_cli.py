@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mgbary.cli
 from mgbary.cli import main
 
 TRIANGLE = {
@@ -463,6 +464,32 @@ def test_bad_command_line_is_a_json_error(triangle_path, capsys, args, detail):
     obj = json.loads(out)
     assert obj["error"] == "parse-error"
     assert detail in obj["detail"]
+
+
+def test_one_parser_serves_every_call(triangle_path, problem_path, capsys, monkeypatch):
+    """``main`` builds its parser on the first call and reuses it; a call
+    refused with parse-error leaves nothing behind for the next call."""
+    good = [
+        ["dist", "--graph", triangle_path, "--from", "v:A", "--to", "e_BC:0.5"],
+        ["bary", "--problem", problem_path],
+    ]
+    refused = ["w2", "--graph", triangle_path, "--m1", "M", "--m2", "M", "--grid", "abc"]
+    alone = []
+    for args in good:
+        mgbary.cli._build_parser.cache_clear()
+        alone.append(run_cli(args, capsys))
+    built, init = [], mgbary.cli._ArgumentParser.__init__
+    monkeypatch.setattr(
+        mgbary.cli._ArgumentParser,
+        "__init__",
+        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw),
+    )
+    mgbary.cli._build_parser.cache_clear()
+    for args, want in zip(good, alone):
+        code, out = run_cli(refused, capsys)
+        assert code == 1 and json.loads(out)["error"] == "parse-error"
+        assert run_cli(args, capsys) == want
+    assert built.count("mgbary") == 1
 
 
 @pytest.mark.parametrize("command", ["bary", "w2"])

@@ -348,11 +348,11 @@ def test_fixed_point_on_a_cycle_solves_no_transport_lp(monkeypatch):
 
 def test_plans_are_certified_without_an_lp(monkeypatch):
     """A plan is certified from its own arrays: neither the cut cases of a
-    fixed point nor a ``w2_graph`` that falls back to the simplex builds a
-    coupling LP."""
+    fixed point nor a ``w2_graph`` that falls back to the simplex builds an
+    LP with ``_add_candidates``, the one LP builder."""
     built = []
-    real = mgbary.transport._coupling_lp
-    monkeypatch.setattr(mgbary.transport, "_coupling_lp", lambda *args: built.append(1) or real(*args))
+    real = mgbary.transport._add_candidates
+    monkeypatch.setattr(mgbary.transport, "_add_candidates", lambda *args: built.append(1) or real(*args))
     recorder = _Recorder(monkeypatch)
     assert solve_edge_fixed_point(_cycle_problem(), "e_BC").converged
     assert recorder.answers  # cut cases of more than one source and target

@@ -4,7 +4,8 @@ Round 1 solves the LP over the seed candidates by interior point and
 crossover, as ``linprog(method="highs-ipm")`` does; each later round appends
 the new candidates' rows and columns to the same model and runs a simplex
 from the basis the last run left. The reference here is the loop that solved
-every round from scratch through ``linprog``.
+every round from scratch through ``linprog``, on the LP of the same layout:
+every candidate of S in the order it joined.
 """
 
 import logging
@@ -22,9 +23,11 @@ from mgbary.barycenter import SEED_SIZE, _targets, candidate_support
 from mgbary.tolerances import HIGHS_TIGHT_TOL
 from mgbary.transport import (
     _accepted,
+    _add_candidates,
     _certificate_tol,
     _cost_matrix,
-    _coupling_lp,
+    _highs_answer,
+    _highs_model,
     _weight_reduced_costs,
 )
 
@@ -67,21 +70,21 @@ def _cold_solve_lp(problem):
     costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, ends, axis=1))]
     weights = [t.weights for _, t in targets]
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
-    rows = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
+    new = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
     tol = max(_certificate_tol(cost) for cost in costs)
-    rounds = 0
-    while True:
+    b_eq = np.r_[np.concatenate(weights), 1.0]
+    order, rounds = new[:0], 0  # S in the order it joined
+    while new.size:
         rounds += 1
-        c, a_eq, b_eq = _coupling_lp([cost[rows] for cost in costs], weights)
-        res, x = _cold_solved(c, a_eq, b_eq)
-        w = x[: len(rows)]
-        slack = _weight_reduced_costs(costs, res.eqlin.marginals, len(rows))
-        slack[rows] = np.inf
-        worst = np.argsort(slack, kind="stable")[: len(rows)]
-        worst = worst[slack[worst] < -tol]
-        if not worst.size:
-            break
-        rows = np.union1d(rows, worst)
+        order = np.r_[order, new]
+        lp, cols = _add_candidates(*_highs_model(b_eq), [cost[order] for cost in costs])
+        res, x = _cold_solved(*lp)
+        slack = _weight_reduced_costs(costs, res.eqlin.marginals)
+        slack[order] = np.inf
+        new = np.argsort(slack, kind="stable")[: len(order)]
+        new = new[slack[new] < -tol]
+    rows = np.sort(order)
+    w = x[cols[np.argsort(order, kind="stable")]]
     w /= w.sum()
     mu = discrete_measure(g, [(support[i], float(wi)) for i, wi in zip(rows, w) if wi > 0.0])
     return mu, float(res.fun), rounds
@@ -146,23 +149,17 @@ def test_one_model_serves_every_round(monkeypatch, caplog):
         solve_lp(_seeded_problem("triangle", 0))
     (record,) = [r.args for r in caplog.records if r.name == "mgbary"]
     assert record[3] >= 2  # LP rounds
-    assert len(built) == 1 and len(passed) == 1
+    assert len(built) == 1 and passed == []
     assert len(runs) == record[3] and set(runs) == set(built)
 
 
 def test_highs_binding_exposes_what_solve_lp_uses():
-    highs, lp = _core._Highs(), _core.HighsLp()
+    highs = _core._Highs()
     for method in (
-        "setOptionValue", "getOptionValue", "passModel", "run", "addRows", "addCols",
+        "setOptionValue", "getOptionValue", "run", "addRows", "addCols",
         "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
     ):
         assert callable(getattr(highs, method, None)), method
-    for field in (
-        "num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_",
-    ):
-        assert hasattr(lp, field), field
-    for field in ("num_col_", "num_row_", "format_", "start_", "index_", "value_"):
-        assert hasattr(lp.a_matrix_, field), field
     info = highs.getInfo()
     for field in ("objective_function_value", "ipm_iteration_count", "crossover_iteration_count",
                   "simplex_iteration_count"):
@@ -172,18 +169,20 @@ def test_highs_binding_exposes_what_solve_lp_uses():
     for option in ("output_flag", "presolve", "solver", "primal_feasibility_tolerance",
                    "dual_feasibility_tolerance", "ipm_optimality_tolerance"):
         assert highs.getOptionValue(option)[0] == _core.HighsStatus.kOk, option
-    assert _core.MatrixFormat.kColwise is not None and _core.HighsModelStatus.kOptimal is not None
+    assert _core.HighsModelStatus.kOptimal is not None
 
 
 @pytest.mark.parametrize("name, seed", PROBLEMS)
 def test_first_run_returns_the_bits_of_linprog(name, seed):
-    """A joint LP's model run once gives ``linprog``'s ``x``, row duals and value."""
+    """A joint LP's model, grown by one append, run once gives ``linprog``'s
+    ``x``, row duals and value on the grown arrays."""
     problem = _seeded_problem(name, seed)
     g, targets = problem.graph, _targets(problem)
     support = candidate_support(problem)[:SEED_SIZE]
     costs = [lam * _cost_matrix(g, support, t.points) for lam, t in targets]
-    lp = _coupling_lp(costs, [t.weights for _, t in targets])
-    res = mgbary.transport._highs_answer(mgbary.transport._highs_model(*lp))
+    highs, lp = _highs_model(np.r_[np.concatenate([t.weights for _, t in targets]), 1.0])
+    lp, _ = _add_candidates(highs, lp, costs)
+    res = _highs_answer(highs)
     ref = scipy.optimize.linprog(lp[0], A_eq=lp[1], b_eq=lp[2], bounds=(0, None), method="highs-ipm")
     assert res.method == "ipm" and res.fun == ref.fun
     assert np.array_equal(res.x, ref.x) and np.array_equal(res.eqlin.marginals, ref.eqlin.marginals)

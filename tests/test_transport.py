@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import mgbary.transport
 from mgbary import (
     BranchTag,
     GraphPoint,
@@ -23,7 +24,7 @@ from mgbary import (
     restrict,
     w2_graph,
 )
-from mgbary.transport import _cost_matrix, _coupling_lp
+from mgbary.transport import _add_candidates, _cost_matrix, _highs_model
 from conftest import _coo_coupling_lp, make_segment, random_point
 
 V = GraphPoint.at_vertex
@@ -285,6 +286,29 @@ class TestDecompose:
         assert sum(p.mass() for p in parts) == pytest.approx(1.0, abs=1e-12)
         assert sum(p.cost for p in parts) == pytest.approx(plan.cost, abs=1e-12)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_parts_cost_from_the_branch_table(self, triangle, monkeypatch, reverse):
+        """The parts' costs come from the distances the branch table read,
+        with no cost matrix built, in the bits of one ``_cost_matrix`` over
+        each part's points."""
+        rng = random.Random(41)
+        m1 = discrete_measure(triangle, [(E("e_AB", rng.uniform(0, 1)), 0.25) for _ in range(4)])
+        m2 = discrete_measure(triangle, [(random_point(triangle, rng), 0.2) for _ in range(5)])
+        _, plan = w2_graph(triangle, m1, m2)
+        oe = OrientedEdge("e_AB", reverse)
+        built = []
+        real = mgbary.transport._cost_matrix
+        monkeypatch.setattr(
+            mgbary.transport, "_cost_matrix", lambda *args: built.append(1) or real(*args)
+        )
+        parts = decompose_plan(triangle, oe, plan)
+        assert built == []
+        monkeypatch.undo()
+        assert sum(len(p.entries) for p in parts) == len(plan.entries)
+        assert sum(bool(p.entries) for p in parts) == 2
+        for part in parts:
+            assert repr(part) == repr(mgbary.transport._make_plan(triangle, part.entries))
+
     def test_rejects_source_mass_off_edge(self, tripod):
         m1 = discrete_measure(tripod, [(E("b2", 0.5), 1.0)])
         m2 = discrete_measure(tripod, [(V("t1"), 1.0)])
@@ -410,22 +434,44 @@ class TestJson:
         assert back == m
 
 
-class TestCouplingLp:
-    """``_coupling_lp`` writes CSR directly; HiGHS must see the arrays the
-    COO conversion gave."""
+class TestJointLpLayout:
+    """``_add_candidates`` writes the joint LP candidate by candidate. Under
+    the permutation its docstring documents, that is the coupling-major LP of
+    ``_coo_coupling_lp`` over the candidates in append order, and it is the
+    model HiGHS holds."""
 
-    @staticmethod
-    def _assert_same(got, want):
-        for x, y in [(got[0], want[0]), (got[2], want[2])] + [
-            (getattr(got[1], f), getattr(want[1], f)) for f in ("indptr", "indices", "data")
-        ]:
-            assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
-        assert got[1].format == "csr" and got[1].shape == want[1].shape
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_sourceless_couplings_with_the_unit_mass_row(self, n):
-        rng = np.random.default_rng(10 + n)
-        for count in (1, 2, 4):
-            ks = rng.integers(1, 8, count)
-            costs, qs = [rng.random((n, k)) for k in ks], [rng.random(k) for k in ks]
-            self._assert_same(_coupling_lp(costs, qs), _coo_coupling_lp(costs, qs))
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_seed_and_two_appends_permute_the_coupling_lp(self, count):
+        rng = np.random.default_rng(10 + count)
+        ks, batches = rng.integers(1, 8, count), [5, 1, 3]
+        n, unit = sum(batches), int(sum(ks))
+        costs, qs = [rng.random((n, k)) for k in ks], [rng.random(k) for k in ks]
+        highs, lp = _highs_model(np.r_[np.concatenate(qs), 1.0])
+        weight_cols = []
+        for lo, hi in zip(np.cumsum([0, *batches[:-1]]), np.cumsum(batches)):
+            lp, cols = _add_candidates(highs, lp, [cost[lo:hi] for cost in costs])
+            weight_cols.append(cols)
+        # coupling i's rows and columns in the coupling-major LP
+        row0 = np.cumsum([0, *(n + ks[:-1])])
+        col0 = n + n * np.cumsum([0, *ks[:-1]])
+        rows = np.r_[
+            np.concatenate([r + n + np.arange(k) for r, k in zip(row0, ks)]),
+            row0[-1] + n + ks[-1],
+            (row0[None, :] + np.arange(n)[:, None]).ravel(),
+        ]
+        cols = np.concatenate([
+            np.r_[t, np.concatenate([c + t * k + np.arange(k) for c, k in zip(col0, ks)])]
+            for t in range(n)
+        ])
+        c, a_eq, b_eq = lp
+        ref_c, ref_a, ref_b = _coo_coupling_lp(costs, qs)
+        assert sorted(rows) == list(range(len(ref_b))) and sorted(cols) == list(range(len(ref_c)))
+        assert np.array_equal(c, ref_c[cols]) and np.array_equal(b_eq, ref_b[rows])
+        assert a_eq.format == "csc"
+        assert np.array_equal(a_eq.toarray(), ref_a.toarray()[np.ix_(rows, cols)])
+        assert np.array_equal(np.concatenate(weight_cols), (1 + unit) * np.arange(n))
+        model = highs.getLp()
+        assert np.array_equal(model.col_cost_, c) and np.array_equal(model.row_lower_, b_eq)
+        assert np.array_equal(model.row_upper_, b_eq)
+        for got, want in zip(("start_", "index_", "value_"), (a_eq.indptr, a_eq.indices, a_eq.data)):
+            assert np.array_equal(getattr(model.a_matrix_, got), want), got
