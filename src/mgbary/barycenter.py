@@ -261,7 +261,7 @@ def solve_edge_fixed_point(
     ends = np.cumsum([len(t.points) for _, t in targets])[:-1]
     tables = list(zip(*(np.split(x, ends, axis=-1) for x in (tags, images, on, d))))
     by_point = np.array(sorted(range(len(grid)), key=lambda i: grid[i].sort_key()))
-    offsets = np.array([g._offset(oe, p) for p in grid])
+    offsets = length - a if oe.reverse else a
     by_offset = np.argsort(offsets, kind="stable")
     lams = [lam for lam, _ in targets]
     _check_weights(lams)

@@ -21,6 +21,7 @@ charge, reads them from a slice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,7 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     OrientedEdge,
+    _crossings,
     cut_points_from,
     distance,
 )
@@ -43,7 +45,7 @@ from .transport import (
     _optimal_coupling,
     _require_minimizing,
 )
-from .tolerances import LENGTH_TOL
+from .tolerances import LENGTH_TOL, MASS_TOL, _finite
 
 
 @dataclass(frozen=True)
@@ -159,30 +161,21 @@ def preimage_count(ctx: CoverContext, tag: BranchTag, x_tilde: float) -> int:
     on the rest of the graph, matching the three ranges [0, length],
     (length, inf), (-inf, 0) of the unfolding. The count is constant between
     consecutive exceptional values; queries within ``LENGTH_TOL`` of one are
-    rejected because the multiplicity genuinely jumps there.
+    rejected because the multiplicity genuinely jumps there, and so is NaN.
     """
+    if math.isnan(x_tilde):
+        raise ValueError("query x_tilde is NaN")
     exc = exceptional_set(ctx, tag)
     near = min((abs(x_tilde - d) for d in exc), default=float("inf"))
     if near <= LENGTH_TOL:
         raise ValueError(
             f"query {x_tilde!r} is within {LENGTH_TOL} of an exceptional value"
         )
-    g = ctx.graph
-    e = g.edge(ctx.edge.edge)
+    e = ctx.graph.edge(ctx.edge.edge)
     if tag is BranchTag.E:
         return 1 if 0.0 < x_tilde < e.length else 0
     r = x_tilde - e.length if tag is BranchTag.PLUS else -x_tilde
-    if r < 0.0:
-        return 0
-    row = g._row(g._index[_anchor_vertex(ctx, tag)])
-    (a, b), lengths = g._edge_ends, g._edge_lengths
-    du, dv = row[a], row[b]  # the anchor's distances to every edge's ends
-    t_rise, t_fall = r - du, dv + lengths - r
-    rise = (0.0 < t_rise) & (t_rise < lengths) & (du + t_rise < dv + (lengths - t_rise))
-    fall = (0.0 < t_fall) & (t_fall < lengths) & (dv + (lengths - t_fall) < du + t_fall)
-    base = [f.id for f in g.edges].index(e.id)  # counted under E only
-    rise[base] = fall[base] = False
-    return int(np.count_nonzero(rise) + np.count_nonzero(fall))
+    return _crossings(ctx.graph, _anchor_vertex(ctx, tag), r, e.id)  # e counts under E only
 
 
 def lift_line_plan(
@@ -196,12 +189,16 @@ def lift_line_plan(
     Each target value of ``theta_tilde`` is spread over its branch-map
     preimages inside the support of ``nu``, proportionally to the weights of
     ``nu``; pushing the result back through the branch map reproduces
-    ``theta_tilde`` entry by entry.
+    ``theta_tilde`` entry by entry. Entries of zero mass are skipped; a
+    non-finite source position or mass, or a negative mass, is refused.
     """
     h_vals = {p: h_eval(ctx, tag, p) for p in nu.points}
     weights = nu.as_dict()
     entries: list[tuple[float, GraphPoint, float]] = []
     for s, y_tilde, mass in theta_tilde:
+        s, mass = _finite(s, "source position"), _finite(mass, "plan mass")
+        if mass < -MASS_TOL:
+            raise MeasureValidationError(f"negative plan mass {mass!r}")
         if mass <= 0.0:
             continue
         pre = [p for p in nu.points if abs(h_vals[p] - y_tilde) <= LENGTH_TOL]
@@ -210,11 +207,11 @@ def lift_line_plan(
                 f"target value {y_tilde!r} has no preimage in the support of nu"
             )
         if len(pre) == 1:
-            entries.append((float(s), pre[0], mass))
+            entries.append((s, pre[0], mass))
             continue
         total = sum(weights[p] for p in pre)
         for p in pre:
-            entries.append((float(s), p, mass * weights[p] / total))
+            entries.append((s, p, mass * weights[p] / total))
     entries.sort(key=lambda e: (e[0], e[1].sort_key()))
     return tuple(entries)
 

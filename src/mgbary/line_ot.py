@@ -68,11 +68,7 @@ def line_measure(
     kept = []
     for a, b, d in pieces:
         a, b, d = _piece_values(a, b, d, "")
-        if b <= a:
-            if b < a - MASS_TOL:
-                raise MeasureValidationError(f"piece with b < a: [{a!r}, {b!r})")
-            continue
-        if d > 0.0:
+        if b > a and d > 0.0:
             kept.append((a, b, d))
     kept.sort()
     fused: list[list[float]] = []
@@ -108,6 +104,8 @@ def _merged_atoms(x: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def cdf_eval(m: LineMeasure, x: float) -> float:
     """Right-continuous distribution value: mass of (-inf, x]."""
+    if math.isnan(x):
+        raise MeasureValidationError("distribution argument x is NaN")
     total = 0.0
     for pos, mass in m.atoms:
         if pos <= x:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
@@ -96,28 +96,27 @@ class GeodesicPath:
 class MetricGraph:
     """A validated, immutable metric graph with a vertex-distance table filled on demand.
 
-    Instances are built through :func:`build_graph`, in O(E log E) time and
-    O(E) memory. All public attributes are read-only by convention. A table row is one Dijkstra run
-    over the CSR adjacency, made when a query first reads it and then kept, so
-    memory is O(V x rows touched). Sharing a graph across threads is safe: a
-    row is stored whole before its key appears, and racing threads compute
-    the same floats.
+    Built through :func:`build_graph` in O(E log E) time and O(E) memory; public
+    attributes are read-only by convention. Each fact is held once: the vertex and
+    edge id -> index maps, the incidence list ``adjacency`` (sorted edge ids), the
+    CSR adjacency, and the table rows, which only this module reads. A row is one
+    Dijkstra run over the CSR adjacency, made when a query first reads it and then
+    kept, so memory is O(V x rows touched). Sharing a graph across threads is safe:
+    a row is stored whole before its key appears, and racing threads compute the
+    same floats.
     """
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
         self.vertices = vertices
         self.edges = edges
-        self._edge_by_id = {e.id: e for e in edges}
-        adj: dict[str, list[tuple[Edge, str, int]]] = {v: [] for v in vertices}
-        for e in edges:
-            adj[e.u].append((e, e.v, _FWD))
-            adj[e.v].append((e, e.u, _BWD))
-        self._adj = adj
-        self.adjacency: dict[str, tuple[str, ...]] = {
-            v: tuple(sorted(e.id for e, _, _ in nbrs)) for v, nbrs in adj.items()
-        }
-        self.min_edge_length = min(e.length for e in edges)
         self._index = {v: i for i, v in enumerate(vertices)}
+        self._edge_index = {e.id: i for i, e in enumerate(edges)}
+        adjacency: dict[str, list[str]] = {v: [] for v in vertices}
+        for e in edges:  # in id order, so each vertex's ids come sorted
+            adjacency[e.u].append(e.id)
+            adjacency[e.v].append(e.id)
+        self.adjacency = {v: tuple(ids) for v, ids in adjacency.items()}
+        self.min_edge_length = min(e.length for e in edges)
         # the CSR csgraph_from_dense makes of the symmetric length matrix:
         # sorted columns, the shortest of parallel edges, so rows keep its bits
         n = len(vertices)
@@ -144,12 +143,12 @@ class MetricGraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._edge_by_id[edge_id]
+            return self.edges[self._edge_index[edge_id]]
         except KeyError:
             raise ValueError(f"unknown edge id {edge_id!r}") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._adj
+        return v in self._index
 
     def vertex_distance(self, a: str, b: str) -> float:
         return self._row(self._index[a]).item(self._index[b])
@@ -157,7 +156,7 @@ class MetricGraph:
     def canonical(self, p: GraphPoint) -> GraphPoint:
         """Return the unique canonical representation of ``p`` on this graph."""
         if p.vertex is not None:
-            if p.vertex not in self._adj:
+            if p.vertex not in self._index:
                 raise ValueError(f"unknown vertex id {p.vertex!r}")
             return GraphPoint(vertex=p.vertex)
         e = self.edge(p.edge)
@@ -255,11 +254,7 @@ def build_graph(spec: Mapping) -> MetricGraph:
     if not math.isfinite(total * total):  # no squared distance may overflow
         raise GraphValidationError(f"total edge length {total!r} is too large to square")
 
-    degree = {v: 0 for v in vertices}
-    for e in edges_t:
-        degree[e.u] += 1
-        degree[e.v] += 1
-    isolated = sorted(v for v, d in degree.items() if d == 0)
+    isolated = sorted(vset.difference(w for e in edges_t for w in (e.u, e.v)))
     if isolated:
         raise GraphValidationError(f"isolated vertices (degree 0): {isolated}")
 
@@ -307,6 +302,49 @@ def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     return min(cands)
 
 
+def _distance_matrix(
+    g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
+) -> np.ndarray:
+    """``distance(g, x, y)`` for every pair of canonical points.
+
+    Bit for bit the floats of :func:`distance`: each pair takes the minimum of
+    ``(c1 + D[w1, w2]) + c2`` over its at most 2 x 2 exit pairs, summed from
+    the canonically first point (the vertex table is not bit-symmetric), then
+    the same-edge segment; equal points are 0.
+    """
+    rank = {k: r for r, k in enumerate(sorted({p.sort_key() for p in [*xs, *ys]}))}
+
+    def encode(points):
+        # two exits per point (a vertex repeats its one), edge index or -1,
+        # offset, canonical rank
+        exits = [(_exits(g, p) * 2)[:2] for p in points]
+        cost = np.array([[c for c, _, _ in two] for two in exits]).reshape(-1, 2)
+        vert = np.array(
+            [[g._index[w] for _, w, _ in two] for two in exits], dtype=np.intp
+        ).reshape(-1, 2)
+        edge = np.array([-1 if p.edge is None else g._edge_index[p.edge] for p in points])
+        off = np.array([p.offset for p in points])
+        return cost, vert, edge, off, np.array([rank[p.sort_key()] for p in points])
+
+    cx, vx, ex, ox, rx = encode(xs)
+    cy, vy, ey, oy, ry = encode(ys)
+    sources = np.unique(np.concatenate([vx, vy]))  # exit vertices whose rows are read
+    table = g._table_rows(sources.tolist())
+    sx, sy = np.searchsorted(sources, vx), np.searchsorted(sources, vy)
+    x_first = rx[:, None] < ry[None, :]
+    d = np.full((len(xs), len(ys)), np.inf)
+    for a in range(2):
+        c1, w1, s1 = cx[:, a, None], vx[:, a, None], sx[:, a, None]
+        for b in range(2):
+            c2, w2, s2 = cy[None, :, b], vy[None, :, b], sy[None, :, b]
+            route = np.where(x_first, (c1 + table[s1, w2]) + c2, (c2 + table[s2, w1]) + c1)
+            np.minimum(d, route, out=d)
+    same_edge = (ex[:, None] == ey[None, :]) & (ex[:, None] >= 0)
+    d = np.where(same_edge, np.minimum(d, np.abs(oy[None, :] - ox[:, None])), d)
+    d[rx[:, None] == ry[None, :]] = 0.0
+    return d
+
+
 def _dijkstra(g: MetricGraph, source: str, targets):
     # Ties between equal-length paths are broken by the lexicographically
     # smallest (edge id, direction) sequence; the heap order enforces it.
@@ -323,9 +361,10 @@ def _dijkstra(g: MetricGraph, source: str, targets):
         dist[w] = d
         key[w] = k
         left.discard(w)
-        for edge, other, flag in g._adj[w]:
+        for e in map(g.edge, g.adjacency[w]):
+            flag, other = (_FWD, e.v) if e.u == w else (_BWD, e.u)
             if other not in dist:
-                heapq.heappush(heap, (d + edge.length, k + ((edge.id, flag),), other))
+                heapq.heappush(heap, (d + e.length, k + ((e.id, flag),), other))
     return dist, key
 
 
@@ -399,6 +438,18 @@ def cut_points_from(g: MetricGraph, v: str) -> list[tuple[str, float]]:
     t = 0.5 * (row[b] - row[a] + lengths)
     inside = np.flatnonzero((SNAP_TOL < t) & (t < lengths - SNAP_TOL))
     return [(g.edges[i].id, t) for i, t in zip(inside.tolist(), t[inside].tolist())]
+
+
+def _crossings(g: MetricGraph, v: str, r: float, skip: str) -> int:
+    """Interior points at distance ``r`` from vertex ``v`` on every edge but ``skip``:
+    along an edge the distance rises from each end to the cut point's value
+    ``peak = (d_a + d_b + length) / 2``, once for each end with ``d_end < r < peak``."""
+    row, (a, b), lengths = g._row(g._index[v]), g._edge_ends, g._edge_lengths
+    du, dv = row[a], row[b]
+    peak = (du + dv + lengths) / 2
+    count = ((du < r) & (r < peak)).astype(int) + ((dv < r) & (r < peak))
+    count[g._edge_index[skip]] = 0
+    return int(count.sum())
 
 
 def parse_point(g: MetricGraph, literal: str) -> GraphPoint:

@@ -41,12 +41,15 @@ def _merge_atoms(pairs, canonical, key):
 
 
 def _piece_values(a, b, d, where: str) -> tuple[float, float, float]:
-    """A piece's bounds and density as finite floats, the density not negative."""
+    """A piece's bounds and density as finite floats, the density not negative
+    and ``b`` not below ``a``."""
     a, b, d = float(a), float(b), float(d)
     if not all(map(math.isfinite, (a, b, d))):
         raise MeasureValidationError(f"non-finite piece [{a!r}, {b!r}) density {d!r}{where}")
     if d < -MASS_TOL:
         raise MeasureValidationError(f"negative density {d!r} on [{a!r}, {b!r}){where}")
+    if b < a - MASS_TOL:
+        raise MeasureValidationError(f"piece with b < a: [{a!r}, {b!r}){where}")
     return a, b, d
 
 

@@ -34,7 +34,7 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     OrientedEdge,
-    _exits,
+    _distance_matrix,
     format_point,
     is_edge_minimizing,
     parse_point,
@@ -223,50 +223,6 @@ def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
         centers, width = _edge_cells(a, b, h)
         pairs.extend((GraphPoint.on_edge(eid, c), d * width) for c in centers.tolist())
     return discrete_measure(g, pairs)
-
-
-def _distance_matrix(
-    g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
-) -> np.ndarray:
-    """``distance(g, x, y)`` for every pair of canonical points.
-
-    Bit for bit the floats of :func:`distance`: each pair takes the minimum of
-    ``(c1 + D[w1, w2]) + c2`` over its at most 2 x 2 exit pairs, summed from
-    the canonically first point (the vertex table is not bit-symmetric), then
-    the same-edge segment; equal points are 0.
-    """
-    rank = {k: r for r, k in enumerate(sorted({p.sort_key() for p in [*xs, *ys]}))}
-    edge_index = {e.id: i for i, e in enumerate(g.edges)}
-
-    def encode(points):
-        # two exits per point (a vertex repeats its one), edge index or -1,
-        # offset, canonical rank
-        exits = [(_exits(g, p) * 2)[:2] for p in points]
-        cost = np.array([[c for c, _, _ in two] for two in exits]).reshape(-1, 2)
-        vert = np.array(
-            [[g._index[w] for _, w, _ in two] for two in exits], dtype=np.intp
-        ).reshape(-1, 2)
-        edge = np.array([-1 if p.edge is None else edge_index[p.edge] for p in points])
-        off = np.array([p.offset for p in points])
-        return cost, vert, edge, off, np.array([rank[p.sort_key()] for p in points])
-
-    cx, vx, ex, ox, rx = encode(xs)
-    cy, vy, ey, oy, ry = encode(ys)
-    sources = np.unique(np.concatenate([vx, vy]))  # exit vertices whose rows are read
-    table = g._table_rows(sources.tolist())
-    sx, sy = np.searchsorted(sources, vx), np.searchsorted(sources, vy)
-    x_first = rx[:, None] < ry[None, :]
-    d = np.full((len(xs), len(ys)), np.inf)
-    for a in range(2):
-        c1, w1, s1 = cx[:, a, None], vx[:, a, None], sx[:, a, None]
-        for b in range(2):
-            c2, w2, s2 = cy[None, :, b], vy[None, :, b], sy[None, :, b]
-            route = np.where(x_first, (c1 + table[s1, w2]) + c2, (c2 + table[s2, w1]) + c1)
-            np.minimum(d, route, out=d)
-    same_edge = (ex[:, None] == ey[None, :]) & (ex[:, None] >= 0)
-    d = np.where(same_edge, np.minimum(d, np.abs(oy[None, :] - ox[:, None])), d)
-    d[rx[:, None] == ry[None, :]] = 0.0
-    return d
 
 
 def _cost_matrix(g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):

@@ -170,6 +170,33 @@ class TestValidate:
         assert json.loads(out)["error"] == "invalid-measure"
 
 
+    def test_graph_without_edges(self, tmp_path, capsys):
+        bad = tmp_path / "edgeless.json"
+        bad.write_text(json.dumps({"vertices": ["A"], "edges": []}))
+        code = main(["validate", "--graph", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        obj = json.loads(captured.out)
+        assert obj["error"] == "invalid-graph"
+        assert "isolated vertices (degree 0): ['A']" in obj["detail"]
+        assert "Traceback" not in captured.err
+
+    def test_reversed_piece(self, triangle_path, tmp_path, capsys):
+        bad = tmp_path / "reversed.json"
+        pieces = [
+            {"edge": "e_AB", "a": 0.0, "b": 0.5, "density": 2.0},
+            {"edge": "e_BC", "a": 0.9, "b": 0.1, "density": 5.0},
+        ]
+        bad.write_text(json.dumps({"atoms": [], "pieces": pieces}))
+        code = main(["validate", "--graph", triangle_path, "--measure", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        obj = json.loads(captured.out)
+        assert obj["error"] == "invalid-measure"
+        assert "b < a" in obj["detail"]
+        assert "Traceback" not in captured.err
+
+
 class TestW2:
     def test_two_diracs(self, triangle_path, tmp_path, capsys):
         m1 = tmp_path / "m1.json"

@@ -227,6 +227,12 @@ class TestPreimageCount:
         with pytest.raises(ValueError, match="exceptional"):
             preimage_count(ctx, BranchTag.PLUS, 2.5 + 1e-12)
 
+    @pytest.mark.parametrize("tag", list(BranchTag))
+    def test_nan_query_rejected(self, triangle, tag):
+        ctx = dirac_ctx(triangle, "e_AB", [(E("e_AB", 0.5), 1.0)])
+        with pytest.raises(ValueError, match="NaN"):
+            preimage_count(ctx, tag, math.nan)
+
     def test_count_constant_between_exceptional_values(self, triangle):
         ctx = dirac_ctx(triangle, "e_AB", [(E("e_AB", 0.5), 1.0)])
         exc = sorted(exceptional_set(ctx, BranchTag.PLUS))
@@ -263,6 +269,21 @@ class TestLift:
         nu = discrete_measure(tripod, [(E("b2", 0.6), 1.0)])
         assert lift_line_plan(ctx, BranchTag.MINUS, [], nu) == ()
         assert lift_line_plan(ctx, BranchTag.MINUS, [(0.0, -0.6, 0.0)], nu) == ()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((0.75, -0.6, math.nan), "non-finite plan mass"),
+            ((math.nan, -0.6, 1.0), "non-finite source position"),
+            ((math.inf, -0.6, 1.0), "non-finite source position"),
+            ((0.75, -0.6, -1.0), "negative plan mass"),
+        ],
+    )
+    def test_rejects_bad_plan_entries(self, tripod, entry, message):
+        ctx = dirac_ctx(tripod, "b1", [(E("b1", 0.75), 1.0)])
+        nu = discrete_measure(tripod, [(E("b2", 0.6), 1.0)])
+        with pytest.raises(MeasureValidationError, match=message):
+            lift_line_plan(ctx, BranchTag.MINUS, [entry], nu)
 
     def test_rejects_unmatched_target(self, tripod):
         ctx = dirac_ctx(tripod, "b1", [(E("b1", 0.75), 1.0)])

@@ -76,6 +76,14 @@ class TestCdf:
         m = line_measure(atoms=[(0.0, 0.5)], pieces=[(0.0, 1.0, 0.5)])
         assert cdf_eval(m, 0.5) == 0.75
 
+    def test_nan_argument_rejected(self):
+        with pytest.raises(MeasureValidationError, match="NaN"):
+            cdf_eval(unit(), math.nan)
+
+    def test_reversed_piece_rejected(self):
+        with pytest.raises(MeasureValidationError, match=r"piece with b < a: \[0.9, 0.1\)"):
+            line_measure(pieces=[(0.0, 0.5, 2.0), (0.9, 0.1, 5.0)])
+
 
 class TestQuantile:
     def test_uniform_is_identity(self):

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,18 @@ class TestBuild:
     def test_parallel_edges_allowed(self):
         g = make_parallel()
         assert len(g.edges) == 2
+
+    @pytest.mark.parametrize("vertices", [["A"], ["B", "A"]])
+    def test_graph_without_edges_is_isolated(self, vertices):
+        isolated = sorted(vertices)
+        with pytest.raises(
+            GraphValidationError, match=re.escape(f"isolated vertices (degree 0): {isolated}")
+        ):
+            build_graph({"vertices": vertices, "edges": []})
+
+    def test_unknown_edge_id(self, triangle):
+        with pytest.raises(ValueError, match="unknown edge id 'nope'"):
+            triangle.edge("nope")
 
 
 class TestCanonical:
@@ -417,6 +431,29 @@ REFERENCE_SPECS = [
 
 
 class TestVertexTable:
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_adjacency_lists_each_vertex_incident_edge_ids_sorted(self, spec):
+        g = build_graph(spec)
+        want = {
+            v: tuple(sorted(e["id"] for e in spec["edges"] if v in (e["u"], e["v"])))
+            for v in spec["vertices"]
+        }
+        assert g.adjacency == want
+        assert list(g.adjacency) == list(g.vertices)
+
+    def test_only_metric_graph_reads_the_table_and_index_maps(self):
+        internal = re.compile(
+            r"\.(_index|_edge_index|_row|_rows|_table_rows|_edge_ends|_edge_lengths|_csr)\b"
+        )
+        src = Path(mgbary.metric_graph.__file__).parent
+        texts = {f.name: f.read_text(encoding="utf-8") for f in src.glob("*.py")}
+        assert {name for name, text in texts.items() if internal.search(text)} == {
+            "metric_graph.py"
+        }
+        assert {name for name, text in texts.items() if "def _distance_matrix(" in text} == {
+            "metric_graph.py"
+        }
+
     @pytest.mark.parametrize("spec", REFERENCE_SPECS)
     def test_matches_dense_dijkstra_bit_for_bit(self, spec):
         dense = _dense_table(spec)

@@ -92,6 +92,11 @@ class TestGraphMeasureValidation:
         with pytest.raises(MeasureValidationError, match="non-finite piece"):
             graph_measure(tripod, pieces=[piece])
 
+    def test_reversed_piece_rejected(self, triangle):
+        pieces = [("e_AB", 0.0, 0.5, 2.0), ("e_BC", 0.9, 0.1, 5.0)]
+        with pytest.raises(MeasureValidationError, match=r"piece with b < a: \[0.9, 0.1\) of edge 'e_BC'"):
+            graph_measure(triangle, pieces=pieces)
+
     def test_unknown_edge_in_json_is_a_measure_error(self, tripod):
         with pytest.raises(MeasureValidationError, match="unknown edge id 'zz'"):
             graph_measure_from_json(
