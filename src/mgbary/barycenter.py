@@ -22,21 +22,16 @@ import numpy as np
 from scipy.optimize import linprog  # unused here; perfbench/spans.py wraps it by this name
 
 from .covering import _unfold
-from .errors import ParseError
+from .errors import MeasureValidationError, ParseError
 from .line_ot import LineMeasure, _average, _flat_segments, _merged_atoms, _w2_squared
 from .metric_graph import GraphPoint, MetricGraph, OrientedEdge
 from .transport import (
     DiscreteMeasure,
     GraphMeasure,
-    _add_candidates,
     _branch_table,
-    _certified,
     _check_size,
-    _certificate_tol,
-    _cost_matrix,
     _edge_cells,
-    _highs_model,
-    _weight_reduced_costs,
+    _joint_lp,
     discrete_measure,
     discretize,
     graph_measure,
@@ -46,16 +41,32 @@ from .tolerances import SNAP_TOL
 from .tolerances import _check_grid, _check_threshold, _check_weights
 
 _log = logging.getLogger("mgbary")
-SEED_SIZE = 16  # candidates solve_lp appends before its first run: the best Dirac positions
 
 
 @dataclass(frozen=True)
 class BarycenterProblem:
-    """Weighted family of measures on one graph, plus the working grid spacing."""
+    """Weighted family of measures on one graph, plus the working grid spacing.
+
+    Checked when built: at least one measure, each a ``GraphMeasure``, with
+    positive weights summing to 1, and a positive finite grid; else
+    ``MeasureValidationError``. ``measures`` is kept as a tuple and ``grid``
+    as a float."""
 
     graph: MetricGraph
     measures: tuple[tuple[float, GraphMeasure], ...]
     grid: float
+
+    def __post_init__(self):
+        measures = tuple(self.measures)
+        _check_weights([lam for lam, _ in measures])
+        _check_grid(self.grid)
+        for _, nu in measures:
+            if not isinstance(nu, GraphMeasure):
+                raise MeasureValidationError(
+                    f"barycenter input is a {type(nu).__name__}, not a GraphMeasure"
+                )
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "grid", float(self.grid))
 
 
 def barycenter_problem(
@@ -63,9 +74,7 @@ def barycenter_problem(
     measures: Sequence[tuple[float, GraphMeasure]],
     grid: float,
 ) -> BarycenterProblem:
-    _check_weights([lam for lam, _ in measures])
-    _check_grid(grid)
-    return BarycenterProblem(graph=g, measures=tuple(measures), grid=float(grid))
+    return BarycenterProblem(graph=g, measures=measures, grid=grid)
 
 
 def _targets(problem: BarycenterProblem) -> list[tuple[float, DiscreteMeasure]]:
@@ -103,19 +112,7 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     second to the discretized input. The optimum is exact for the discretized
     problem since everything is jointly linear. Every answer is accepted only
     after its couplings' marginals and a dual certificate of optimality are
-    checked.
-
-    The optimal barycenter has small support, so each LP spans a candidate
-    set S. Extended to every other candidate by the c-transform, its duals
-    price the weight there; when no reduced cost is below ``-REL_TOL * max(1,
-    max cost)`` they are feasible for the whole grid's LP at the same value,
-    so S's optimum is the grid's. Otherwise the worst candidates join S. The
-    cap still counts every candidate against every input cell. One HiGHS
-    model serves every round: each round appends its new candidates, in the
-    layout of :func:`_add_candidates`, the first round the ``SEED_SIZE``
-    best Dirac positions; the first run is interior point with crossover to
-    a vertex, in the bits ``linprog(method="highs-ipm")`` gives on the same
-    arrays, and each later run a simplex warm-started from the last basis.
+    checked; :func:`~mgbary.transport._joint_lp` solves it.
 
     Raises
     ------
@@ -123,44 +120,20 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
         If the LP over the whole grid or an edge's cell grid would exceed the
         cap (``MGBARY_SUPPORT_CAP`` overrides the default).
     ParseError
-        If ``MGBARY_SUPPORT_CAP`` is not an integer.
+        If ``MGBARY_SUPPORT_CAP`` is not an integer of at least 0.
     SolverConsistencyError
         If the solver fails, a coupling's marginals drift beyond ``MARGINAL_TOL``,
         or the duals do not certify the solution optimal.
     """
-    g = problem.graph
-    support = candidate_support(problem)
-    targets = _targets(problem)
-    n = len(support)
-    _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
-    ends = np.cumsum([len(t.points) for _, t in targets])[:-1]
-    full = _cost_matrix(g, support, [p for _, t in targets for p in t.points])
-    costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, ends, axis=1))]
-    weights = [t.weights for _, t in targets]
-    dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
-    new = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
-    tol = max(_certificate_tol(cost) for cost in costs)
-    highs, lp = _highs_model(np.r_[np.concatenate(weights), 1.0])
-    rows, col = new[:0], np.zeros(n, dtype=int)  # S, and each candidate's weight column once in S
-    runs, options = [], {}
-    while new.size:
-        lp, col[new] = _add_candidates(highs, lp, [cost[new] for cost in costs])
-        rows = np.union1d(rows, new)
-        res, x = _certified(highs, lp, **options)
-        runs.append((res.method, *res.nit))
-        slack = _weight_reduced_costs(costs, res.eqlin.marginals)
-        slack[rows] = np.inf
-        new = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
-        new, options = new[slack[new] < -tol], {"solver": "simplex"}
+    support, targets = candidate_support(problem), _targets(problem)
+    rows, w, value, stats = _joint_lp(problem.graph, support, targets)
     _log.debug(
         "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, each (method, IPM, crossover,"
         " simplex iterations) %r, min slack off S %r",
-        problem.grid, n, len(rows), len(runs), tuple(runs), float(slack.min()),
+        problem.grid, len(support), *stats,
     )
-    w = x[col[rows]]
-    w /= w.sum()
-    mu = discrete_measure(g, [(support[i], float(wi)) for i, wi in zip(rows, w) if wi > 0.0])
-    return mu, float(res.fun)
+    mu = discrete_measure(problem.graph, [(support[i], float(wi)) for i, wi in zip(rows, w) if wi > 0.0])
+    return mu, value
 
 
 def _edge_grid(g: MetricGraph, oe: OrientedEdge, h: float) -> tuple[list[GraphPoint], float]:
@@ -264,7 +237,6 @@ def solve_edge_fixed_point(
     offsets = length - a if oe.reverse else a
     by_offset = np.argsort(offsets, kind="stable")
     lams = [lam for lam, _ in targets]
-    _check_weights(lams)
 
     def line_view(w):
         keep = by_offset[w[by_offset] > 0.0]

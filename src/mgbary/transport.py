@@ -45,6 +45,7 @@ from .tolerances import _check_grid, _check_unit_mass, _finite, _merge_atoms, _p
 _log = logging.getLogger("mgbary")
 DEFAULT_SUPPORT_CAP = 2_000_000
 SUPPORT_CAP_ENV = "MGBARY_SUPPORT_CAP"
+SEED_SIZE = 16  # candidates _joint_lp appends before its first run: the best Dirac positions
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,15 @@ def _make_plan(g: MetricGraph, entries, costs=None) -> TransportPlan:
 
 def _check_size(count: float, what: str) -> None:
     """Refuse a grid or LP of ``count`` cells or variables above the cap that
-    ``MGBARY_SUPPORT_CAP`` sets (``DEFAULT_SUPPORT_CAP`` when unset)."""
+    ``MGBARY_SUPPORT_CAP`` sets (``DEFAULT_SUPPORT_CAP`` when unset), which
+    must be an integer of at least 0, else ``ParseError``."""
     raw = os.environ.get(SUPPORT_CAP_ENV, DEFAULT_SUPPORT_CAP)
     try:
         cap = int(raw)
     except ValueError:
-        raise ParseError(f"{SUPPORT_CAP_ENV} must be an integer, got {raw!r}") from None
+        cap = -1
+    if cap < 0:
+        raise ParseError(f"{SUPPORT_CAP_ENV} must be an integer of at least 0, got {raw!r}")
     if not count <= cap:
         raise SupportCapError(
             f"the grid needs {count:.6g} {what}, above the cap {cap}; "
@@ -366,6 +370,47 @@ def _certified(highs, lp, **options):
             ipm_optimality_tolerance=HIGHS_TIGHT_TOL,
         )
         return res, _accepted(res, *lp)
+
+
+def _joint_lp(g: MetricGraph, points: Sequence[GraphPoint], targets):
+    """The barycenter LP of ``targets``, ``[(lam, DiscreteMeasure)]``, over
+    ``points``: the last S as sorted indices into ``points``, their weights
+    over their sum, the value and ``(|S|, rounds, runs, min slack off S)``.
+
+    The optimal barycenter has small support, so each LP spans a candidate set
+    S. Extended to every other candidate by the c-transform, its duals price
+    the weight there; when no reduced cost is below ``-REL_TOL * max(1, max
+    cost)`` they are feasible for the LP over all of ``points`` at the same
+    value, so S's optimum is that LP's. Otherwise the worst candidates join S.
+    The cap still counts every candidate against every input cell. One HiGHS
+    model serves every round: each round appends its new candidates, in the
+    layout of :func:`_add_candidates`, the first round the ``SEED_SIZE`` best
+    Dirac positions; run 1 is :func:`_highs_model`'s interior point and
+    crossover, each later run a simplex warm-started from the last basis.
+    """
+    n = len(points)
+    _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
+    ends = np.cumsum([len(t.points) for _, t in targets])[:-1]
+    full = _cost_matrix(g, points, [p for _, t in targets for p in t.points])
+    costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, ends, axis=1))]
+    weights = [t.weights for _, t in targets]
+    dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
+    new = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
+    tol = max(_certificate_tol(cost) for cost in costs)
+    highs, lp = _highs_model(np.r_[np.concatenate(weights), 1.0])
+    rows, col = new[:0], np.zeros(n, dtype=int)  # S, and each candidate's weight column once in S
+    runs, options = [], {}
+    while new.size:
+        lp, col[new] = _add_candidates(highs, lp, [cost[new] for cost in costs])
+        rows = np.union1d(rows, new)
+        res, x = _certified(highs, lp, **options)
+        runs.append((res.method, *res.nit))
+        slack = _weight_reduced_costs(costs, res.eqlin.marginals)
+        slack[rows] = np.inf
+        new = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
+        new, options = new[slack[new] < -tol], {"solver": "simplex"}
+    w = x[col[rows]]
+    return rows, w / w.sum(), float(res.fun), (len(rows), len(runs), tuple(runs), float(slack.min()))
 
 
 def _edge_frame(g: MetricGraph, edge_id: str, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):

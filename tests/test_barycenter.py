@@ -1,3 +1,4 @@
+import ast
 import logging
 import math
 import pathlib
@@ -10,6 +11,7 @@ from scipy.optimize import linprog
 import mgbary.barycenter
 import mgbary.transport
 from mgbary import (
+    BarycenterProblem,
     GraphPoint,
     MeasureValidationError,
     OrientedEdge,
@@ -38,9 +40,9 @@ from mgbary import (
     w2_graph,
     w2_line,
 )
-from mgbary.barycenter import _edge_grid_masses
+from mgbary.barycenter import _edge_grid_masses, _targets
 from mgbary.tolerances import REL_TOL, SNAP_TOL
-from mgbary.transport import _accepted, _cost_matrix, _edge_cells
+from mgbary.transport import _accepted, _cost_matrix, _edge_cells, _joint_lp
 from conftest import (
     _coo_coupling_lp,
     make_segment,
@@ -278,6 +280,12 @@ class TestClampQuantile:
         for t0, t1, v0, v1 in c.segments:
             assert v0 >= prev - 1e-15 and v1 >= v0
             prev = v1
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_bounds_not_in_order_rejected(self, lo, hi):
+        q = QuantileFn(((0.0, 1.0, -0.5, 1.5),))
+        with pytest.raises(ValueError, match="clamp bounds must satisfy lo < hi"):
+            clamp_quantile(q, lo, hi)
 
 
 class TestFixedPoint:
@@ -608,7 +616,94 @@ class TestRestrictionProperty:
                 assert objective(split_problem, mu_i) <= lp_value + 1e-6
 
 
+class TestJointLpEntry:
+    """``transport._joint_lp`` owns the joint LP; ``solve_lp`` only states it."""
+
+    PRIVATE = ("_highs_model", "_add_candidates", "_certified", "_highs_answer", "_weight_reduced_costs")
+
+    def test_only_transport_knows_the_lp(self):
+        src = pathlib.Path(mgbary.barycenter.__file__).parent
+        tree = ast.parse((src / "barycenter.py").read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        banned = {*self.PRIVATE, "_certificate_tol", "_cost_matrix", "eqlin"}
+        assert names & banned == set() and "solver" not in strings
+        imported = {
+            a.name
+            for n in tree.body
+            if isinstance(n, ast.ImportFrom) and n.module == "transport"
+            for a in n.names
+            if a.name.startswith("_")
+        }
+        assert imported == {"_branch_table", "_check_size", "_edge_cells", "_joint_lp"}
+        for path in sorted(src.glob("*.py")):
+            if path.name != "transport.py":
+                calls = {
+                    getattr(n.func, "id", getattr(n.func, "attr", None))
+                    for n in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(n, ast.Call)
+                }
+                assert calls & set(self.PRIVATE) == set(), path.name
+
+    def test_one_candidate_gives_its_dirac(self):
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
+        mu, value = solve_lp(problem)
+        rows, w, got, (size, rounds, _, _) = _joint_lp(g, [V("o")], _targets(problem))
+        assert mu.points == (V("o"),)
+        assert rows.tolist() == [0] and w.tolist() == [1.0] and (size, rounds) == (1, 1)
+        assert got == pytest.approx(value, rel=1e-12)
+
+    def test_candidates_without_the_optimum_cost_more(self):
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
+        _, value = solve_lp(problem)
+        points = [p for p in candidate_support(problem) if p != V("o")]
+        rows, w, got, _ = _joint_lp(g, points, _targets(problem))
+        assert got > value and abs(w.sum() - 1.0) <= 1e-12
+        assert rows.tolist() == sorted(set(rows.tolist())) and rows.max() < len(points)
+
+
+def _bad_problems(g):
+    """Inputs a barycenter problem refuses, each with a piece of its message."""
+    nu = graph_measure(g, pieces=[("b1", 0.5, 1.0, 2.0)])
+    return {
+        "nan-weight": ([(math.nan, nu)], 0.25, "nonpositive weight nan"),
+        "half-weight": ([(0.25, nu), (0.25, nu)], 0.25, "weight sum 0.5 is not 1"),
+        "nan-grid": ([(1.0, nu)], math.nan, "grid spacing must be positive"),
+        "zero-grid": ([(1.0, nu)], 0.0, "grid spacing must be positive"),
+        "no-measures": ([], 0.25, "no measures"),
+        "discrete-input": ([(1.0, discretize(g, nu, 0.25))], 0.25, "DiscreteMeasure, not a GraphMeasure"),
+    }
+
+
 class TestInputValidation:
+    @pytest.mark.parametrize("case", list(_bad_problems(make_tripod())))
+    @pytest.mark.parametrize("direct", [False, True], ids=["barycenter_problem", "BarycenterProblem"])
+    def test_problem_is_valid_by_construction(self, tripod, case, direct):
+        # a problem built directly is refused too, before any solver sees it
+        measures, grid, message = _bad_problems(tripod)[case]
+        with pytest.raises(MeasureValidationError, match=message) as exc:
+            if direct:
+                BarycenterProblem(graph=tripod, measures=measures, grid=grid)
+            else:
+                barycenter_problem(tripod, measures, grid)
+        assert exc.value.code == "invalid-measure"
+
+    def test_problem_keeps_a_tuple_and_a_float(self, tripod):
+        nu = graph_measure(tripod, pieces=[("b1", 0.5, 1.0, 2.0)])
+        problem = BarycenterProblem(graph=tripod, measures=[(1.0, nu)], grid=1)
+        assert problem.measures == ((1.0, nu),) and type(problem.grid) is float
+        assert problem == barycenter_problem(tripod, [(1.0, nu)], 1)
+
+    def test_fixed_point_rejects_an_unknown_start(self):
+        g = make_tripod()
+        problem = barycenter_problem(g, tripod_outer_halves(g), grid=1 / 16)
+        with pytest.raises(ValueError, match="unknown init 'lp'; use 'uniform' or 'vertex'"):
+            solve_edge_fixed_point(problem, "b1", init="lp")
+
     def test_weights_must_sum_to_one(self, tripod):
         nu = graph_measure(tripod, atoms=[(V("o"), 1.0)])
         with pytest.raises(MeasureValidationError, match="sum"):

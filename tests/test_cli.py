@@ -148,6 +148,34 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["error"] == "invalid-graph"
 
+    @pytest.mark.parametrize(
+        "spec, detail",
+        [
+            (
+                {"vertices": ["A", "B", "A"], "edges": [{"id": "e", "u": "A", "v": "B", "length": 1.0}]},
+                "duplicate vertex ids",
+            ),
+            (
+                {
+                    "vertices": ["A", "B"],
+                    "edges": [
+                        {"id": "e", "u": "A", "v": "B", "length": 1.0},
+                        {"id": "e", "u": "B", "v": "A", "length": 2.0},
+                    ],
+                },
+                "duplicate edge id 'e'",
+            ),
+        ],
+        ids=["vertex", "edge"],
+    )
+    def test_duplicate_ids_rejected(self, tmp_path, capsys, spec, detail):
+        bad = tmp_path / "duplicate.json"
+        bad.write_text(json.dumps(spec))
+        code, out = run_cli(["validate", "--graph", str(bad)], capsys)
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "invalid-graph" and detail in obj["detail"]
+
     def test_missing_file(self, capsys):
         code, out = run_cli(["validate", "--graph", "/nonexistent/g.json"], capsys)
         assert code == 1
@@ -402,6 +430,7 @@ def _problem_with(path, value):
         (_problem_with(("grid",), "abc"), [], {}, "parse-error", "problem file: could not"),
         (_problem_with(("grid",), None), [], {}, "parse-error", "problem file: float()"),
         (tripod_problem(), [], {"MGBARY_SUPPORT_CAP": "abc"}, "parse-error", "MGBARY_SUPPORT_CAP"),
+        (tripod_problem(), [], {"MGBARY_SUPPORT_CAP": "-5"}, "parse-error", "at least 0, got '-5'"),
         (tripod_problem(), ["--atom-tol", "nan"], {}, "parse-error", "--atom-tol"),
         (tripod_problem(), ["--atom-tol", "-1"], {}, "parse-error", "--atom-tol"),
         (_problem_with(("measures",), 5), [], {}, "parse-error", "not iterable"),
@@ -414,7 +443,7 @@ def _problem_with(path, value):
         ),
     ],
     ids=[
-        "weight-abc", "grid-abc", "grid-null", "support-cap-abc", "atom-tol-nan",
+        "weight-abc", "grid-abc", "grid-null", "support-cap-abc", "support-cap-negative", "atom-tol-nan",
         "atom-tol-negative", "measures-not-a-list", "record-not-an-object",
         "measure-not-an-object", "graph-a-number", "point-not-a-string",
     ],

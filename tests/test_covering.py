@@ -315,6 +315,12 @@ class TestEdgeLineView:
         rev = measure_on_edge_as_line(tripod, OrientedEdge("b1", reverse=True), m)
         assert rev.atoms == ((0.0, 0.5), (0.75, 0.5))
 
+    def test_point_off_the_edge_rejected(self, tripod):
+        m = discrete_measure(tripod, [(E("b1", 0.25), 0.5), (E("b2", 0.5), 0.5)])
+        with pytest.raises(MeasureValidationError, match="is not on edge 'b1'") as exc:
+            measure_on_edge_as_line(tripod, "b1", m)
+        assert exc.value.code == "invalid-measure"
+
 
 def plan_phi(ctx, nu):
     """``phi`` read off an optimal plan entry by entry, whatever the classes."""

@@ -151,6 +151,25 @@ class TestMeasureFromQuantile:
             q(math.nan)
         assert (q(-math.inf), q(0.5), q(math.inf)) == (0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            ((), "at least one segment"),
+            (((0.0, 1.0, 0.0),), r"\(t0, t1, v0, v1\) tuples"),
+            ((0.0, 1.0, 0.0, 1.0), r"\(t0, t1, v0, v1\) tuples"),
+            (((0.0, 0.9, 0.0, 1.0),), r"cover \[0, 1\]"),
+            (((0.25, 1.0, 0.0, 1.0),), r"cover \[0, 1\]"),
+            (((0.0, 0.5, 0.0, 1.0), (0.5, 0.5, 1.0, 1.0), (0.5, 1.0, 1.0, 2.0)), "empty quantile segment at t=0.5"),
+            (((0.0, 0.4, 0.0, 1.0), (0.5, 1.0, 1.0, 2.0)), "not contiguous"),
+            (((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 0.5, 2.0)), "decreases across segments"),
+        ],
+        ids=["no-segment", "three-columns", "flat-tuple", "short-end", "late-start", "empty", "gap", "drop"],
+    )
+    def test_malformed_segments_rejected(self, segments, message):
+        with pytest.raises(MeasureValidationError, match=message) as exc:
+            QuantileFn(segments)
+        assert exc.value.code == "invalid-measure"
+
 
 class TestSupportBounds:
     def test_uniform(self):

@@ -122,6 +122,30 @@ class TestBuild:
         g = make_parallel()
         assert len(g.edges) == 2
 
+    def test_duplicate_vertex_ids_rejected(self):
+        with pytest.raises(GraphValidationError, match="duplicate vertex ids") as exc:
+            build_graph(
+                {
+                    "vertices": ["A", "B", "A"],
+                    "edges": [{"id": "e", "u": "A", "v": "B", "length": 1.0}],
+                }
+            )
+        assert exc.value.code == "invalid-graph"
+
+    def test_duplicate_edge_id_rejected(self):
+        # parallel edges are allowed, but not under one id
+        with pytest.raises(GraphValidationError, match="duplicate edge id 'e'") as exc:
+            build_graph(
+                {
+                    "vertices": ["A", "B"],
+                    "edges": [
+                        {"id": "e", "u": "A", "v": "B", "length": 1.0},
+                        {"id": "e", "u": "A", "v": "B", "length": 2.0},
+                    ],
+                }
+            )
+        assert exc.value.code == "invalid-graph"
+
     @pytest.mark.parametrize("vertices", [["A"], ["B", "A"]])
     def test_graph_without_edges_is_isolated(self, vertices):
         isolated = sorted(vertices)

@@ -19,9 +19,10 @@ from scipy.optimize._highspy import _core
 import mgbary.transport
 from conftest import make_skewed_square, make_square_with_chord, make_triangle, make_tripod
 from mgbary import SolverConsistencyError, barycenter_problem, discrete_measure, graph_measure, solve_lp
-from mgbary.barycenter import SEED_SIZE, _targets, candidate_support
+from mgbary.barycenter import _targets, candidate_support
 from mgbary.tolerances import HIGHS_TIGHT_TOL
 from mgbary.transport import (
+    SEED_SIZE,
     _accepted,
     _add_candidates,
     _certificate_tol,

@@ -26,7 +26,7 @@ from mgbary import (
     solve_lp,
     w2_graph,
 )
-from mgbary.tolerances import HIGHS_TIGHT_TOL
+from mgbary.tolerances import HIGHS_TIGHT_TOL, _check_weights
 from conftest import make_square_with_chord, make_triangle, make_tripod, tripod_outer_halves
 
 V = GraphPoint.at_vertex
@@ -107,6 +107,12 @@ class TestNonFiniteRejected:
             barycenter_problem(g, [(1.0, nu)], grid=grid)
         with pytest.raises(MeasureValidationError, match="grid spacing"):
             discretize(g, nu, grid)
+
+
+class TestWeightCheck:
+    def test_no_weights_rejected(self):
+        with pytest.raises(MeasureValidationError, match="barycenter problem with no measures"):
+            _check_weights([])
 
 
 class TestZeroMassAtoms:

@@ -11,6 +11,7 @@ from mgbary import (
     GraphPoint,
     MeasureValidationError,
     OrientedEdge,
+    ParseError,
     build_graph,
     classify_pair,
     decompose_plan,
@@ -97,6 +98,16 @@ class TestGraphMeasureValidation:
         with pytest.raises(MeasureValidationError, match=r"piece with b < a: \[0.9, 0.1\) of edge 'e_BC'"):
             graph_measure(triangle, pieces=pieces)
 
+    def test_overlapping_pieces_on_one_edge_rejected(self, tripod):
+        pieces = [("b1", 0.0, 0.6, 1.0), ("b1", 0.5, 1.0, 0.8)]
+        with pytest.raises(MeasureValidationError, match="overlapping pieces on edge 'b1'") as exc:
+            graph_measure(tripod, pieces=pieces)
+        assert exc.value.code == "invalid-measure"
+
+    def test_adjacent_pieces_on_one_edge_accepted(self, tripod):
+        m = graph_measure(tripod, pieces=[("b1", 0.5, 1.0, 0.8), ("b1", 0.0, 0.5, 1.2)])
+        assert m.pieces == (("b1", 0.0, 0.5, 1.2), ("b1", 0.5, 1.0, 0.8))
+
     def test_unknown_edge_in_json_is_a_measure_error(self, tripod):
         with pytest.raises(MeasureValidationError, match="unknown edge id 'zz'"):
             graph_measure_from_json(
@@ -146,6 +157,21 @@ class TestDiscretize:
         monkeypatch.delenv("MGBARY_SUPPORT_CAP")
         with pytest.raises(SupportCapError, match="cells on one edge"):
             discretize(tripod, m, 1e-300)  # used to loop over 1e300 cells
+
+    @pytest.mark.parametrize("raw", ["-5", "abc", "1e6", "2.5", ""])
+    def test_cap_that_is_not_an_integer_of_at_least_0_is_refused(self, tripod, monkeypatch, raw):
+        # -5 used to refuse every grid, "above the cap -5"
+        m = graph_measure(tripod, pieces=[("b1", 0.0, 1.0, 1.0)])
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", raw)
+        with pytest.raises(ParseError, match=f"MGBARY_SUPPORT_CAP must be an integer of at least 0, got {raw!r}") as exc:
+            discretize(tripod, m, 0.25)
+        assert exc.value.code == "parse-error"
+
+    def test_cap_of_0_refuses_every_grid(self, tripod, monkeypatch):
+        m = graph_measure(tripod, pieces=[("b1", 0.0, 1.0, 1.0)])
+        monkeypatch.setenv("MGBARY_SUPPORT_CAP", "0")
+        with pytest.raises(SupportCapError, match="above the cap 0"):
+            discretize(tripod, m, 0.25)
 
 
 class TestW2Graph:
@@ -409,6 +435,12 @@ class TestRestrict:
                          restrict(tripod, m, part1, nu_p).nu1)[0]
             )
             assert d1 <= g1_sup * eps + 1e-9
+
+    def test_rejects_part_outside_the_measure(self, tripod):
+        m = discrete_measure(tripod, [(E("b1", 0.2), 0.5), (E("b1", 0.8), 0.5)])
+        with pytest.raises(MeasureValidationError, match="outside the measure") as exc:
+            restrict(tripod, m, {E("b1", 0.2): 0.25, E("b2", 0.5): 0.25}, m)
+        assert exc.value.code == "invalid-measure"
 
     def test_rejects_excess_part(self, tripod):
         m = discrete_measure(tripod, [(E("b1", 0.2), 0.5), (E("b1", 0.8), 0.5)])
