@@ -47,10 +47,10 @@ _log = logging.getLogger("mgbary")
 class BarycenterProblem:
     """Weighted family of measures on one graph, plus the working grid spacing.
 
-    Checked when built: at least one measure, each a ``GraphMeasure``, with
-    positive weights summing to 1, and a positive finite grid; else
-    ``MeasureValidationError``. ``measures`` is kept as a tuple and ``grid``
-    as a float."""
+    Checked when built: at least one measure, each a ``GraphMeasure`` whose
+    atoms and pieces lie on ``graph``, with positive weights summing to 1,
+    and a positive finite grid; else ``MeasureValidationError``.
+    ``measures`` is kept as a tuple and ``grid`` as a float."""
 
     graph: MetricGraph
     measures: tuple[tuple[float, GraphMeasure], ...]
@@ -65,6 +65,16 @@ class BarycenterProblem:
                 raise MeasureValidationError(
                     f"barycenter input is a {type(nu).__name__}, not a GraphMeasure"
                 )
+            try:
+                for p, _ in nu.atoms:
+                    self.graph.canonical(p)
+                for eid, _, b, _ in nu.pieces:
+                    if b > self.graph.edge(eid).length:
+                        raise ValueError(f"piece end {b!r} past edge {eid!r}")
+            except ValueError as err:
+                raise MeasureValidationError(
+                    f"barycenter input is not on the problem's graph: {err}"
+                ) from None
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "grid", float(self.grid))
 

@@ -137,11 +137,15 @@ class QuantileFn:
     __slots__ = ("arrays",)
 
     def __init__(self, segments):
-        s = np.array(segments, dtype=float)
-        if not len(s):
+        malformed = "quantile segments must be (t0, t1, v0, v1) tuples"
+        try:
+            s = np.array(segments, dtype=float)
+        except (TypeError, ValueError):  # ragged, or entries that are not numbers
+            raise MeasureValidationError(malformed) from None
+        if s.shape[:1] == (0,):
             raise MeasureValidationError("quantile function needs at least one segment")
-        if s.shape[1:] != (4,):
-            raise MeasureValidationError("quantile segments must be (t0, t1, v0, v1) tuples")
+        if s.ndim != 2 or s.shape[1] != 4:
+            raise MeasureValidationError(malformed)
         s.flags.writeable = False
         t0, t1, v0, v1 = self.arrays = tuple(s.T)
         if not np.isfinite(s).all():

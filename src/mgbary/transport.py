@@ -45,7 +45,6 @@ from .tolerances import _check_grid, _check_unit_mass, _finite, _merge_atoms, _p
 _log = logging.getLogger("mgbary")
 DEFAULT_SUPPORT_CAP = 2_000_000
 SUPPORT_CAP_ENV = "MGBARY_SUPPORT_CAP"
-SEED_SIZE = 16  # candidates _joint_lp appends before its first run: the best Dirac positions
 
 
 @dataclass(frozen=True)
@@ -322,12 +321,12 @@ def _certificate(x: np.ndarray, residual, reduced, gap: float, c: np.ndarray) ->
 
 def _highs_model(b_eq: np.ndarray):
     """A HiGHS model of the rows ``a_eq @ x = b_eq`` and no columns yet, with
-    the options of ``linprog(method="highs-ipm")``: interior point, then
-    crossover to a vertex; and its ``lp = (c, a_eq, b_eq)``, CSC, for
-    :func:`_add_candidates` to grow. Its first run returns the bits
-    ``linprog`` gives on the grown arrays."""
+    the options of ``linprog(method="highs-ds")``: dual simplex, every run
+    after the first warm-started from the last basis; and its ``lp = (c,
+    a_eq, b_eq)``, CSC, for :func:`_add_candidates` to grow. Its first run
+    returns the bits ``linprog`` gives on the grown arrays."""
     highs = _Highs()
-    for option, value in (("output_flag", False), ("presolve", "on"), ("solver", "ipm")):
+    for option, value in (("output_flag", False), ("presolve", "on"), ("solver", "simplex")):
         highs.setOptionValue(option, value)
     highs.addRows(len(b_eq), b_eq, b_eq, 0, [], [], [])
     return highs, (np.zeros(0), sparse.csc_matrix((len(b_eq), 0)), b_eq)
@@ -353,13 +352,13 @@ def _highs_answer(highs, **options):
     )
 
 
-def _certified(highs, lp, **options):
+def _certified(highs, lp):
     """:func:`_highs_answer` of ``highs``, whose model is ``lp = (c, a_eq,
     b_eq)``, and its :func:`_accepted` solution. An answer that fails
-    acceptance is solved once more on the same model with HiGHS's
-    feasibility and optimality tolerances at ``HIGHS_TIGHT_TOL``, which stay
-    set, and only that answer's failure is raised."""
-    res = _highs_answer(highs, **options)
+    acceptance is solved once more on the same model with HiGHS's primal and
+    dual feasibility tolerances at ``HIGHS_TIGHT_TOL``, which stay set, and
+    only that answer's failure is raised."""
+    res = _highs_answer(highs)
     try:
         return res, _accepted(res, *lp)
     except SolverConsistencyError:
@@ -367,7 +366,6 @@ def _certified(highs, lp, **options):
             highs,
             primal_feasibility_tolerance=HIGHS_TIGHT_TOL,
             dual_feasibility_tolerance=HIGHS_TIGHT_TOL,
-            ipm_optimality_tolerance=HIGHS_TIGHT_TOL,
         )
         return res, _accepted(res, *lp)
 
@@ -384,9 +382,9 @@ def _joint_lp(g: MetricGraph, points: Sequence[GraphPoint], targets):
     value, so S's optimum is that LP's. Otherwise the worst candidates join S.
     The cap still counts every candidate against every input cell. One HiGHS
     model serves every round: each round appends its new candidates, in the
-    layout of :func:`_add_candidates`, the first round the ``SEED_SIZE`` best
-    Dirac positions; run 1 is :func:`_highs_model`'s interior point and
-    crossover, each later run a simplex warm-started from the last basis.
+    layout of :func:`_add_candidates`, the first round the best Dirac
+    position alone, and runs :func:`_highs_model`'s simplex, cold in round 1
+    and warm-started from the last basis after.
     """
     n = len(points)
     _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
@@ -395,20 +393,20 @@ def _joint_lp(g: MetricGraph, points: Sequence[GraphPoint], targets):
     costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, ends, axis=1))]
     weights = [t.weights for _, t in targets]
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
-    new = np.sort(np.argsort(dirac, kind="stable")[:SEED_SIZE])
+    new = np.argsort(dirac, kind="stable")[:1]
     tol = max(_certificate_tol(cost) for cost in costs)
     highs, lp = _highs_model(np.r_[np.concatenate(weights), 1.0])
     rows, col = new[:0], np.zeros(n, dtype=int)  # S, and each candidate's weight column once in S
-    runs, options = [], {}
+    runs = []
     while new.size:
         lp, col[new] = _add_candidates(highs, lp, [cost[new] for cost in costs])
         rows = np.union1d(rows, new)
-        res, x = _certified(highs, lp, **options)
+        res, x = _certified(highs, lp)
         runs.append((res.method, *res.nit))
         slack = _weight_reduced_costs(costs, res.eqlin.marginals)
         slack[rows] = np.inf
         new = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
-        new, options = new[slack[new] < -tol], {"solver": "simplex"}
+        new = new[slack[new] < -tol]
     w = x[col[rows]]
     return rows, w / w.sum(), float(res.fun), (len(rows), len(runs), tuple(runs), float(slack.min()))
 

@@ -193,8 +193,10 @@ DENSE_REFERENCE_PROBLEMS = {
     "triangle": (make_triangle, [(0.25, ("e_AC", 0.3, 0.95, 1 / 0.65)),
                                  (0.25, ("e_AB", 0.0, 0.6, 1 / 0.6)),
                                  (0.5, ("e_AC", 0.3, 1.0, 1 / 0.7))], 1 / 32),
-    # HiGHS's first answer to one restricted LP fails the dual certificate;
-    # the re-solve at tight tolerances is accepted
+    # random inputs on the triangle. Every simplex answer here passes the
+    # certificate at default tolerances; test_a_warm_round_is_certified_too
+    # covers the re-solve at tight tolerances by injection, and CHORD_INPUTS
+    # at h = 1/256 take it unprompted, in round 7 of 8
     "triangle-resolved": (make_triangle, [
         (0.22567852167246386, ("e_AC", 0.2629049061311682, 0.8822880155780949, 1.6145096382963078)),
         (0.2646002182037707, ("e_AB", 0.012137432095470045, 0.5867562359833648, 1.740284155746311)),
@@ -238,11 +240,13 @@ class TestSolveLpMatchesDense:
         assert grid == 1 / 64 and count == len(support)
         assert size <= count and slack >= -tol  # the certificate solve_lp accepts
         assert rounds >= 2 and len(runs) == rounds  # pricing added candidates
-        # round 1 by interior point (and crossover), each later one by a warm
-        # simplex, which pivots at least once since a candidate joined S
-        (method, ipm, _, _), *warm = runs
-        assert method == "ipm" and ipm > 0
-        assert all(method == "simplex" and ipm == 0 and simplex > 0 for method, ipm, _, simplex in warm)
+        # every round by a simplex: round 1 cold on the best Dirac position,
+        # each later one warm, which pivots at least once since a candidate
+        # joined S
+        (method, ipm, crossover, _), *warm = runs
+        assert (method, ipm, crossover) == ("simplex", 0, 0)
+        assert all(method == "simplex" and ipm == crossover == 0 and simplex > 0
+                   for method, ipm, crossover, simplex in warm)
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_fine_tripod_grid(self, n):
@@ -669,6 +673,10 @@ class TestJointLpEntry:
 def _bad_problems(g):
     """Inputs a barycenter problem refuses, each with a piece of its message."""
     nu = graph_measure(g, pieces=[("b1", 0.5, 1.0, 2.0)])
+    triangle = make_triangle()
+    long_leg = build_graph(
+        {"vertices": ["o", "t1"], "edges": [{"id": "b1", "u": "o", "v": "t1", "length": 1.5}]}
+    )
     return {
         "nan-weight": ([(math.nan, nu)], 0.25, "nonpositive weight nan"),
         "half-weight": ([(0.25, nu), (0.25, nu)], 0.25, "weight sum 0.5 is not 1"),
@@ -676,6 +684,16 @@ def _bad_problems(g):
         "zero-grid": ([(1.0, nu)], 0.0, "grid spacing must be positive"),
         "no-measures": ([], 0.25, "no measures"),
         "discrete-input": ([(1.0, discretize(g, nu, 0.25))], 0.25, "DiscreteMeasure, not a GraphMeasure"),
+        # measures of the triangle, whose ids the tripod does not have
+        "foreign-piece": ([(1.0, graph_measure(triangle, pieces=[("e_AB", 0.0, 0.5, 2.0)]))], 0.25,
+                          "not on the problem's graph: unknown edge id 'e_AB'"),
+        "foreign-vertex": ([(1.0, graph_measure(triangle, atoms=[(V("A"), 1.0)]))], 0.25,
+                           "not on the problem's graph: unknown vertex id 'A'"),
+        "foreign-edge-point": ([(0.5, nu), (0.5, graph_measure(triangle, atoms=[(E("e_BC", 0.5), 1.0)]))],
+                               0.25, "not on the problem's graph: unknown edge id 'e_BC'"),
+        # a tripod piece past the end of a shorter leg of the same id
+        "long-piece": ([(1.0, graph_measure(long_leg, pieces=[("b1", 1.0, 1.5, 2.0)]))], 0.25,
+                       "not on the problem's graph: piece end 1.5 past edge 'b1'"),
     }
 
 

@@ -162,8 +162,12 @@ class TestMeasureFromQuantile:
             (((0.0, 0.5, 0.0, 1.0), (0.5, 0.5, 1.0, 1.0), (0.5, 1.0, 1.0, 2.0)), "empty quantile segment at t=0.5"),
             (((0.0, 0.4, 0.0, 1.0), (0.5, 1.0, 1.0, 2.0)), "not contiguous"),
             (((0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 0.5, 2.0)), "decreases across segments"),
+            (((0.0, 0.5, 0.0, 1.0), (0.5, 1.0)), r"\(t0, t1, v0, v1\) tuples"),
+            (None, r"\(t0, t1, v0, v1\) tuples"),
+            ("abc", r"\(t0, t1, v0, v1\) tuples"),
         ],
-        ids=["no-segment", "three-columns", "flat-tuple", "short-end", "late-start", "empty", "gap", "drop"],
+        ids=["no-segment", "three-columns", "flat-tuple", "short-end", "late-start", "empty", "gap", "drop",
+             "ragged", "none", "string"],
     )
     def test_malformed_segments_rejected(self, segments, message):
         with pytest.raises(MeasureValidationError, match=message) as exc:
