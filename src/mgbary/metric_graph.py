@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -133,13 +134,13 @@ class MetricGraph:
         row = self._rows.get(i)
         return self._table_rows([i])[0] if row is None else row
 
-    def _table_rows(self, idx: list[int]) -> np.ndarray:
-        """The len(idx) x V block of rows; one Dijkstra call makes those missing."""
+    def _table_rows(self, idx: list[int]) -> list[np.ndarray]:
+        """The rows of ``idx``; one Dijkstra call makes those missing."""
         missing = [i for i in idx if i not in self._rows]
         if missing:
             for i, row in zip(missing, csgraph.dijkstra(self._csr, indices=missing)):
                 self._rows[i] = row  # the row is written before its key appears
-        return np.array([self._rows[i] for i in idx]).reshape(len(idx), len(self.vertices))
+        return [self._rows[i] for i in idx]
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -302,46 +303,86 @@ def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     return min(cands)
 
 
+def _encode(g: MetricGraph, points: Sequence[GraphPoint]):
+    """Canonical points as arrays: vertex index (-1 inside an edge), edge index
+    (-1 at a vertex) and offset."""
+    vertex, edge = [p.vertex for p in points], [p.edge for p in points]
+    vi, ei = (
+        np.fromiter(map(ids.get, keys, repeat(-1)), np.intp, len(points))
+        for ids, keys in ((g._index, vertex), (g._edge_index, edge))
+    )
+    return vi, ei, np.fromiter([p.offset for p in points], float, len(points))
+
+
+def _edge_offsets(g: MetricGraph, edge_id: str, points: Sequence[GraphPoint]) -> np.ndarray:
+    """``g._offset(OrientedEdge(edge_id), p)`` of every canonical point, NaN off the edge."""
+    vi, ei, off = _encode(g, points)
+    k = g._edge_index[edge_id]
+    at_v = np.where(vi == g._edge_ends[1][k], g._edge_lengths[k], np.nan)
+    return np.where(ei == k, off, np.where(vi == g._edge_ends[0][k], 0.0, at_v))
+
+
 def _distance_matrix(
     g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]
 ) -> np.ndarray:
-    """``distance(g, x, y)`` for every pair of canonical points.
+    """``distance(g, x, y)`` for every pair of canonical points, bit for bit.
 
-    Bit for bit the floats of :func:`distance`: each pair takes the minimum of
-    ``(c1 + D[w1, w2]) + c2`` over its at most 2 x 2 exit pairs, summed from
-    the canonically first point (the vertex table is not bit-symmetric), then
-    the same-edge segment; equal points are 0.
+    Both sides are encoded at once, in arrays, with their exits: (offset, u)
+    and (length - offset, v) inside an edge; a side of vertices only keeps
+    one. Each pair of exits is a route ``(c1 + D[w1, w2]) + c2`` summed from
+    the canonically first point, as the vertex table is not bit-symmetric:
+    its block of table rows is gathered by rows, then columns (or the other
+    way when that makes the smaller array), and its costs are added in place.
+    Only one direction is computed when every pair has the same order. The
+    minimum over the routes takes the segment of each same-edge pair; equal
+    points are 0, as ``D[w, w]`` is.
     """
-    rank = {k: r for r, k in enumerate(sorted({p.sort_key() for p in [*xs, *ys]}))}
+    n, (vi, ei, off) = len(xs), _encode(g, [*xs, *ys])
+    inside = ei >= 0
+    used = sorted(set(vi[~inside].tolist()), key=g.vertices.__getitem__)
+    key = np.zeros(len(g.vertices), np.intp)
+    key[used] = np.arange(len(used))  # vertices by id, then edge points by edge id and offset
+    rank = np.argsort(np.lexsort((off, np.where(inside, len(used) + ei, key[vi]))))
+    ends = [np.where(inside, w[ei], vi) for w in g._edge_ends]
+    costs = [off, np.where(inside, g._edge_lengths[ei] - off, 0.0)]
 
-    def encode(points):
-        # two exits per point (a vertex repeats its one), edge index or -1,
-        # offset, canonical rank
-        exits = [(_exits(g, p) * 2)[:2] for p in points]
-        cost = np.array([[c for c, _, _ in two] for two in exits]).reshape(-1, 2)
-        vert = np.array(
-            [[g._index[w] for _, w, _ in two] for two in exits], dtype=np.intp
-        ).reshape(-1, 2)
-        edge = np.array([-1 if p.edge is None else g._edge_index[p.edge] for p in points])
-        off = np.array([p.offset for p in points])
-        return cost, vert, edge, off, np.array([rank[p.sort_key()] for p in points])
+    def side(points):  # its distinct exit vertices, and each exit's costs and index into them
+        exits = 1 + inside[points].any()
+        u, s = np.unique(np.concatenate([w[points] for w in ends[:exits]]), return_inverse=True)
+        return u, list(zip([c[points] for c in costs[:exits]], np.split(s, exits)))
 
-    cx, vx, ex, ox, rx = encode(xs)
-    cy, vy, ey, oy, ry = encode(ys)
-    sources = np.unique(np.concatenate([vx, vy]))  # exit vertices whose rows are read
-    table = g._table_rows(sources.tolist())
-    sx, sy = np.searchsorted(sources, vx), np.searchsorted(sources, vy)
-    x_first = rx[:, None] < ry[None, :]
-    d = np.full((len(xs), len(ys)), np.inf)
-    for a in range(2):
-        c1, w1, s1 = cx[:, a, None], vx[:, a, None], sx[:, a, None]
-        for b in range(2):
-            c2, w2, s2 = cy[None, :, b], vy[None, :, b], sy[None, :, b]
-            route = np.where(x_first, (c1 + table[s1, w2]) + c2, (c2 + table[s2, w1]) + c1)
-            np.minimum(d, route, out=d)
-    same_edge = (ex[:, None] == ey[None, :]) & (ex[:, None] >= 0)
-    d = np.where(same_edge, np.minimum(d, np.abs(oy[None, :] - ox[:, None])), d)
-    d[rx[:, None] == ry[None, :]] = 0.0
+    x_side, y_side = side(slice(n)), side(slice(n, None))
+    g._table_rows(np.union1d(x_side[0], y_side[0]).tolist())  # one Dijkstra call for all
+
+    def routes(first, second):  # first's points by second's, summed from first
+        (u1, exits1), (u2, exits2) = first, second
+        rows = g._table_rows(u1.tolist())
+        block = np.array([row[u2] for row in rows]).reshape(len(u1), len(u2))
+        for c1, s1 in exits1:
+            for c2, s2 in exits2:
+                by_rows = len(s1) * len(u2) <= len(u1) * len(s2)
+                t = block[s1][:, s2] if by_rows else block[:, s2][s1]
+                t += c1[:, None]
+                t += c2
+                yield t
+
+    rx, ry = rank[:n], rank[n:]
+    if rx.max(initial=-1) < ry.min(initial=len(rank)):
+        found = routes(x_side, y_side)
+    elif rx.min(initial=len(rank)) >= ry.max(initial=-1):
+        found = (t.T for t in routes(y_side, x_side))
+    else:  # each direction yields every exit pair once, so any pairing will do
+        y_first = rx[:, None] >= ry
+        found = map(
+            lambda t, u: np.copyto(t, u.T, where=y_first) or t,
+            routes(x_side, y_side),
+            routes(y_side, x_side),
+        )
+    d = next(found)
+    for t in found:
+        np.minimum(d, t, out=d)
+    i, j = np.nonzero((ei[:n, None] == ei[n:]) & inside[n:])
+    d[i, j] = np.minimum(d[i, j], np.abs(off[n + j] - off[i]))
     return d
 
 

@@ -26,14 +26,19 @@ def _finite(x, what: str = "atom position") -> float:
     return x
 
 
+def _atom_mass(m) -> float:
+    m = _finite(m, "atom mass")
+    if m < -MASS_TOL:
+        raise MeasureValidationError(f"negative atom mass {m!r}")
+    return m
+
+
 def _merge_atoms(pairs, canonical, key):
     """Sum finite, non-negative masses by ``canonical`` location, sorted by
     ``key``; zero masses are dropped after their location is checked."""
     merged = {}
     for p, m in pairs:
-        m = _finite(m, "atom mass")
-        if m < -MASS_TOL:
-            raise MeasureValidationError(f"negative atom mass {m!r}")
+        m = _atom_mass(m)
         cp = canonical(p)
         if m > 0.0:
             merged[cp] = merged.get(cp, 0.0) + m

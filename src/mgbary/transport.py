@@ -13,8 +13,10 @@ import functools
 import logging
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
@@ -35,12 +37,14 @@ from .metric_graph import (
     MetricGraph,
     OrientedEdge,
     _distance_matrix,
+    _edge_offsets,
     format_point,
     is_edge_minimizing,
     parse_point,
 )
 from .tolerances import HIGHS_TIGHT_TOL, LENGTH_TOL, LP_ZERO_TOL, MARGINAL_TOL, MASS_TOL, REL_TOL
-from .tolerances import _check_grid, _check_unit_mass, _finite, _merge_atoms, _piece_values
+from .tolerances import SNAP_TOL, _atom_mass, _check_grid, _check_unit_mass, _finite
+from .tolerances import _merge_atoms, _piece_values
 
 _log = logging.getLogger("mgbary")
 DEFAULT_SUPPORT_CAP = 2_000_000
@@ -124,15 +128,17 @@ def discrete_measure(
     divided out, so that two measures' marginals agree within
     ``MARGINAL_TOL`` in every transport LP."""
     items = _merge_atoms(pairs, g.canonical, GraphPoint.sort_key)
-    if not items:
+    return _discrete([p for p, _ in items], [w for _, w in items])
+
+
+def _discrete(points: list[GraphPoint], weights: list[float]) -> DiscreteMeasure:
+    if not points:
         raise MeasureValidationError("discrete measure with empty support")
-    total = sum(w for _, w in items)
+    total = sum(weights)
     _check_unit_mass(total, "weight sum")
     if abs(total - 1.0) > MASS_TOL:
-        items = [(p, w / total) for p, w in items]
-    return DiscreteMeasure(
-        points=tuple(p for p, _ in items), weights=tuple(w for _, w in items)
-    )
+        weights = [w / total for w in weights]
+    return DiscreteMeasure(points=tuple(points), weights=tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -216,16 +222,40 @@ def _edge_cells(a: float, b: float, h: float) -> tuple[np.ndarray, float]:
 def discretize(g: MetricGraph, m: GraphMeasure, h: float) -> DiscreteMeasure:
     """Replace density pieces by cell-center atoms on a grid of spacing <= h.
 
-    Atoms are kept verbatim; each piece [a, b) is cut into equal cells and its
-    mass placed at the cell centers, so mass is conserved and no spurious
-    vertex atoms appear.
+    Each piece [a, b) is cut into equal cells and its mass placed at the cell
+    centers, so mass is conserved. The result is ``discrete_measure`` of the
+    atoms and then every center, in its bits, built in bulk: a center within
+    SNAP_TOL of an edge end becomes that vertex (the first end when both are
+    that close), and an atom at a cell center adds that cell's mass to its
+    own, as coinciding centers add theirs, in input order.
     """
     _check_grid(h)
-    pairs: list[tuple[GraphPoint, float]] = list(m.atoms)
-    for eid, a, b, d in m.pieces:
-        centers, width = _edge_cells(a, b, h)
-        pairs.extend((GraphPoint.on_edge(eid, c), d * width) for c in centers.tolist())
-    return discrete_measure(g, pairs)
+    cells = [(eid, *_edge_cells(a, b, h), d) for eid, a, b, d in m.pieces]
+    runs = [  # ((kind, id), offsets, mass) in input order, the atoms first
+        ((0, p.vertex) if p.is_vertex else (1, p.edge), [p.offset], w)
+        for p, w in _merge_atoms(m.atoms, g.canonical, GraphPoint.sort_key)
+    ]
+    for eid, centers, width, d in cells:
+        w, e, c = _atom_mass(d * width), g.edge(eid), centers.tolist()  # c never falls
+        lo, hi = bisect_left(c, -LENGTH_TOL), bisect_right(c, e.length + LENGTH_TOL)
+        for outside in (c[:lo] + c[hi:])[:1]:
+            g.canonical(GraphPoint.on_edge(eid, outside))  # raises its ValueError
+        lo = bisect_right(c, SNAP_TOL)
+        hi = max(lo, bisect_left(c, e.length - SNAP_TOL))
+        if w > 0.0:
+            runs += [((0, e.u), [0.0] * lo, w), ((1, eid), c[lo:hi], w)]
+            runs.append(((0, e.v), [0.0] * (len(c) - hi), w))
+    names = sorted({name for name, _, _ in runs})  # vertices by id, then edges by id
+    size = [len(offs) for _, offs, _ in runs]
+    name = np.repeat([names.index(n) for n, _, _ in runs], size)
+    off = np.fromiter(chain.from_iterable(offs for _, offs, _ in runs), float, sum(size))
+    # complex numbers sort by real part, then imaginary: by name, then offset
+    key, point = np.unique(name + 1j * off, return_inverse=True)
+    weights = np.bincount(point, np.repeat([w for _, _, w in runs], size))  # in input order
+    k = key.real.astype(int).tolist()
+    vertex, edge = ([i if kind == c else None for kind, i in names].__getitem__ for c in (0, 1))
+    points = list(map(GraphPoint, map(vertex, k), map(edge, k), key.imag.tolist()))
+    return _discrete(points, weights.tolist())
 
 
 def _cost_matrix(g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):
@@ -416,8 +446,8 @@ def _edge_frame(g: MetricGraph, edge_id: str, xs: Sequence[GraphPoint], ys: Sequ
     (u, v) along its stored orientation: its length, the offsets from u of
     ``xs`` and of ``ys`` (NaN off the edge), and the one
     :func:`_distance_matrix` over ``[u, v, *xs]`` by ``ys``."""
-    oe, e = OrientedEdge(edge_id), g.edge(edge_id)
-    a, on = (np.array([g._offset(oe, p) for p in pts], dtype=float) for pts in (xs, ys))
+    e = g.edge(edge_id)
+    a, on = np.split(_edge_offsets(g, edge_id, [*xs, *ys]), [len(xs)])
     ends = [GraphPoint.at_vertex(e.u), GraphPoint.at_vertex(e.v)]
     return e.length, a, on, _distance_matrix(g, [*ends, *xs], ys)
 

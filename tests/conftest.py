@@ -114,6 +114,19 @@ def tripod_outer_halves(g, weights=(1 / 3, 1 / 3, 1 / 3)):
     ]
 
 
+def random_graph(rng):
+    """A connected graph with unequal edge lengths and parallel edges."""
+    vs = [f"v{i}" for i in range(rng.randint(3, 8))]
+    pairs = [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
+    pairs += [tuple(rng.sample(vs, 2)) for _ in range(len(vs))]
+    pairs += [rng.choice(pairs) for _ in range(2)]
+    edges = [
+        {"id": f"e{k}", "u": u, "v": v, "length": rng.uniform(0.1, 2.0)}
+        for k, (u, v) in enumerate(pairs)
+    ]
+    return build_graph({"vertices": vs, "edges": edges})
+
+
 def random_point(g, rng):
     edges = g.edges
     if rng.random() < 0.25:

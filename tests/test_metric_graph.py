@@ -1,5 +1,7 @@
+import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import mgbary.metric_graph
 from mgbary import (
     GraphPoint,
     GraphValidationError,
+    OrientedEdge,
     build_graph,
     cut_points_from,
     distance,
@@ -29,8 +32,11 @@ from conftest import (
     make_square_with_chord,
     make_triangle,
     make_tripod,
+    random_graph,
     random_point,
 )
+from mgbary.metric_graph import _distance_matrix
+from mgbary.transport import _cost_matrix, _edge_frame
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -513,3 +519,120 @@ class TestVertexTable:
         built = sum(rows)
         is_edge_minimizing(g, "h3_7")
         assert sum(rows) <= built + 1
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _assert_matrices_are_distance_bits(g, xs, ys):
+    """``_distance_matrix`` and ``_cost_matrix`` hold ``distance(x, y)`` and its
+    square bit for bit, the sign of every zero included."""
+    xs, ys = [g.canonical(p) for p in xs], [g.canonical(p) for p in ys]
+    want = [[distance(g, x, y) for y in ys] for x in xs]
+    d, c = _distance_matrix(g, xs, ys), _cost_matrix(g, xs, ys)
+    assert d.shape == c.shape == (len(xs), len(ys))
+    assert _bits(d) == _bits(np.reshape(want, d.shape))
+    assert _bits(c) == _bits(np.reshape([[w**2 for w in row] for row in want], c.shape))
+    return d
+
+
+def _vertices(g):
+    return [V(v) for v in g.vertices]
+
+
+class TestDistanceMatrix:
+    """Every branch of the bulk matrix: which side is canonically first,
+    sides of vertices only (one exit), same-edge pairs, shared points."""
+
+    def test_vertices_by_vertices(self, square_with_chord):
+        vs = _vertices(square_with_chord)
+        d = _assert_matrices_are_distance_bits(square_with_chord, vs, vs[::-1])
+        assert _bits(np.diag(d[:, ::-1])) == _bits(np.zeros(len(vs)))
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_every_x_before_every_y_and_after(self, swap):
+        # vertices come before edge points, and edge points go by edge id;
+        # on these lengths the sums taken from the other side differ in bits
+        rng = random.Random(3)
+        for _ in range(5):
+            g = random_graph(rng)
+            half = len(g.edges) // 2
+            early, late = (
+                [E(e.id, rng.uniform(0.01, 0.99) * e.length) for e in edges for _ in range(3)]
+                for edges in (g.edges[:half], g.edges[half:])
+            )
+            for xs, ys in ((_vertices(g), early + late), (early, late)):
+                _assert_matrices_are_distance_bits(g, *((ys, xs) if swap else (xs, ys)))
+
+    def test_same_edge_pairs_in_both_orders(self, square_with_chord):
+        g = square_with_chord
+        xs = [E("q13", t) for t in (0.1, 0.55, 1.1)]
+        ys = [E("q13", t) for t in (0.05, 0.6, 0.9, 1.15)] + [V("1"), E("q12", 0.5)]
+        _assert_matrices_are_distance_bits(g, xs, ys)
+        _assert_matrices_are_distance_bits(g, ys, xs)
+
+    def test_a_point_in_both_lists_is_at_distance_zero(self, triangle):
+        shared = [E("e_AC", 0.25), V("B")]
+        xs = [V("A"), shared[0], E("e_BC", 0.5), shared[1]]
+        ys = [shared[1], E("e_AB", 0.5), shared[0]]
+        d = _assert_matrices_are_distance_bits(triangle, xs, ys)
+        assert _bits([d[1, 2], d[3, 0]]) == _bits([0.0, 0.0])
+
+    def test_parallel_edges(self):
+        g = make_parallel(1.0, 3.0)
+        pts = _vertices(g) + [E("plong", t) for t in (0.1, 1.5, 2.9)] + [E("pshort", 0.5)]
+        _assert_matrices_are_distance_bits(g, pts, pts)
+        _assert_matrices_are_distance_bits(g, pts[2:], pts[:2])
+
+    def test_sides_of_one_point(self, tripod):
+        pts = [V("o"), V("t1"), E("b1", 0.25), E("b1", 0.75), E("b3", 0.5)]
+        for x in pts:
+            for y in pts:
+                _assert_matrices_are_distance_bits(tripod, [x], [y])
+            _assert_matrices_are_distance_bits(tripod, [x], pts)
+            _assert_matrices_are_distance_bits(tripod, pts, [x])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9))
+    def test_random_graphs_with_parallel_edges_and_repeated_points(self, seed, n, k):
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        pool = [random_point(g, rng) for _ in range(6)]
+        pool += [V(rng.choice(g.vertices)), E(g.edges[0].id, g.edges[0].length / 2)]
+        _assert_matrices_are_distance_bits(
+            g, [rng.choice(pool) for _ in range(n)], [rng.choice(pool) for _ in range(k)]
+        )
+
+    @pytest.mark.parametrize("maker", [make_triangle, make_parallel, make_square_with_chord])
+    def test_edge_frame_offsets_are_per_point_offsets(self, maker):
+        g = maker()
+        rng = random.Random(11)
+        pts = _vertices(g) + [g.canonical(random_point(g, rng)) for _ in range(24)]
+        pts += [E(e.id, e.length / 3) for e in g.edges]
+        xs, ys = pts[::2], pts[1::2]
+        for e in g.edges:
+            length, a, on, d = _edge_frame(g, e.id, xs, ys)
+            assert length == e.length and _bits(d) == _bits(_distance_matrix(g, [V(e.u), V(e.v), *xs], ys))
+            # forward bases read the offsets as they are; reversed ones flip them
+            for oe in (OrientedEdge(e.id), OrientedEdge(e.id, reverse=True)):
+                for offsets, points in ((a, xs), (on, ys)):
+                    got = g.flip_offset(oe, offsets) if oe.reverse else offsets
+                    want = [g._offset(oe, p) for p in points]
+                    assert [repr(x) for x in got.tolist()] == [repr(math.nan if w is None else w) for w in want]
+
+    def test_memory_stays_linear_in_the_output(self):
+        # every vertex and cell center of a 30 x 30 grid against 24 cells: the
+        # matrix takes about 5 units here, a copy of the 900 x 900 table about
+        # 14, and a gather of the 900 exit vertices' rows by every point 28
+        g = build_graph(_grid_graph(30, 3))
+        cells = [E(e.id, e.length / 2) for e in g.edges]
+        xs, ys = _vertices(g) + cells, cells[::73]
+        n, k, nv = len(xs), len(ys), len(g.vertices)
+        _distance_matrix(g, xs, ys)  # the Dijkstra rows, which the graph keeps
+        tracemalloc.start()
+        try:
+            _distance_matrix(g, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * (n * k + k * nv)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mgbary import (
     MeasureValidationError,
     OrientedEdge,
     ParseError,
-    build_graph,
     classify_pair,
     decompose_plan,
     discrete_measure,
@@ -25,8 +25,8 @@ from mgbary import (
     restrict,
     w2_graph,
 )
-from mgbary.transport import _add_candidates, _cost_matrix, _highs_model
-from conftest import _coo_coupling_lp, make_segment, random_point
+from mgbary.transport import GraphMeasure, _add_candidates, _cost_matrix, _edge_cells, _highs_model
+from conftest import _coo_coupling_lp, make_segment, random_graph, random_point
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -48,19 +48,6 @@ def brute_force_uniform_cost(g, points1, points2):
         c = sum(distance(g, points1[i], points2[perm[i]]) ** 2 for i in range(n)) / n
         best = min(best, c)
     return best
-
-
-def random_graph(rng):
-    """A connected graph with unequal edge lengths and parallel edges."""
-    vs = [f"v{i}" for i in range(rng.randint(3, 8))]
-    pairs = [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
-    pairs += [tuple(rng.sample(vs, 2)) for _ in range(len(vs))]
-    pairs += [rng.choice(pairs) for _ in range(2)]
-    edges = [
-        {"id": f"e{k}", "u": u, "v": v, "length": rng.uniform(0.1, 2.0)}
-        for k, (u, v) in enumerate(pairs)
-    ]
-    return build_graph({"vertices": vs, "edges": edges})
 
 
 class TestCostMatrix:
@@ -172,6 +159,111 @@ class TestDiscretize:
         monkeypatch.setenv("MGBARY_SUPPORT_CAP", "0")
         with pytest.raises(SupportCapError, match="above the cap 0"):
             discretize(tripod, m, 0.25)
+
+
+def _cell_pairs(m, h):
+    """The measure's atoms, then each piece's cell centers with their masses,
+    as points :func:`discrete_measure` canonicalizes one at a time."""
+    pairs = list(m.atoms)
+    for eid, a, b, d in m.pieces:
+        centers, width = _edge_cells(a, b, h)
+        pairs += [(E(eid, c), d * width) for c in centers.tolist()]
+    return pairs
+
+
+class TestDiscretizeMatchesDiscreteMeasure:
+    """``discretize`` builds its cells in bulk, in the bits of
+    ``discrete_measure`` over the atoms and cell centers."""
+
+    @staticmethod
+    def check(g, m, h):
+        got = discretize(g, m, h)
+        assert repr(got) == repr(discrete_measure(g, _cell_pairs(m, h)))
+        return got
+
+    def test_center_within_snap_tol_of_an_end_is_that_vertex(self, triangle):
+        m = graph_measure(triangle, pieces=[("e_AB", 0.0, 1e-12, 1e12)])
+        assert self.check(triangle, m, 0.1).points == (V("A"),)
+        m = graph_measure(triangle, pieces=[("e_BC", 1.0 - 2**-40, 1.0, 2.0**40)])
+        assert self.check(triangle, m, 0.1).points == (V("C"),)
+
+    def test_center_within_snap_tol_of_both_ends_is_the_first(self):
+        g = make_segment(length=1.5e-12)
+        m = graph_measure(g, pieces=[("seg", 0.0, 1.5e-12, 1 / 1.5e-12)])
+        assert self.check(g, m, 1.0).points == (V("L"),)
+
+    def test_atom_at_a_cell_center_is_added_first(self, tripod):
+        # 0.1 + (0.2 + 0.7) and (0.1 + 0.2) + 0.7 differ in the last bit
+        pieces = (("b1", 0.5, 0.75, 0.8), ("b1", 0.5, 0.75, 2.8))
+        m = GraphMeasure(atoms=((E("b1", 0.625), 0.1),), pieces=pieces)
+        got = self.check(tripod, m, 0.25)
+        assert got.points == (E("b1", 0.625),) and got.weights == ((0.1 + 0.2) + 0.7,)
+
+    def test_two_pieces_meeting_at_one_offset(self, tripod):
+        m = graph_measure(tripod, pieces=[("b1", 0.0, 0.3, 1.0), ("b1", 0.3, 1.0, 1.0)])
+        self.check(tripod, m, 0.1)
+        self.check(tripod, m, 0.3)
+
+    def test_pieces_overlapping_by_less_than_mass_tol(self, tripod):
+        m = graph_measure(tripod, pieces=[("b2", 0.0, 0.5 + 5e-13, 1.0), ("b2", 0.5, 1.0, 1.0)])
+        self.check(tripod, m, 0.125)
+
+    def test_vertex_atoms_and_pieces_on_several_edges(self, square_with_chord):
+        g = square_with_chord
+        m = graph_measure(
+            g,
+            atoms=[(V("3"), 0.2), (V("1"), 0.1), (E("q13", 0.6), 0.05)],
+            pieces=[
+                ("q13", 0.0, 1.2, 0.25),
+                ("q12", 1.0 - 2**-40, 1.0, 0.1 * 2**40),  # snaps onto vertex 2
+                ("q23", 0.0, 2**-40, 0.1 * 2**40),  # and so does this one
+                ("q41", 0.25, 0.75, 0.3),
+            ],
+        )
+        got = self.check(g, m, 0.1)
+        assert [p for p in got.points if p.is_vertex] == [V("1"), V("2"), V("3")]
+
+    def test_weight_sum_off_by_more_than_mass_tol_is_renormalized(self, tripod):
+        m = graph_measure(tripod, pieces=[("b3", 0.0, 1.0, 1.0 + 1e-10)])
+        got = self.check(tripod, m, 0.05)
+        assert abs(sum(got.weights) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            (("b1", 0.5, 1.5, 1.0),),  # centers past the edge's end
+            (("b1", -0.5, 0.5, 1.0),),  # and before its start
+            (("b1", 0.0, 0.5, 2.0), ("b2", 0.0, 1.5, 0.0)),  # with no mass
+            (("zz", 0.0, 1.0, 1.0),),
+            (("b1", 0.0, 1.0, -1.0),),
+            (("b1", 0.0, 1.0, math.nan),),
+        ],
+    )
+    def test_a_raw_measure_is_refused_as_discrete_measure_refuses_it(self, tripod, pieces):
+        m = GraphMeasure(atoms=((V("o"), 0.0),), pieces=pieces)
+        with pytest.raises((ValueError, MeasureValidationError)) as want:
+            discrete_measure(tripod, _cell_pairs(m, 0.25))
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            discretize(tripod, m, 0.25)
+
+    def test_random_measures(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            g = random_graph(rng)
+            atoms = [(random_point(g, rng), rng.uniform(0.0, 1.0)) for _ in range(rng.randint(0, 3))]
+            pieces = []
+            for e in rng.sample(g.edges, rng.randint(1, 3)):
+                a = rng.choice([0.0, rng.uniform(0.0, e.length / 2)])
+                pieces.append((e.id, a, rng.choice([e.length, rng.uniform(a, e.length)]), rng.uniform(0.1, 2.0)))
+            total = sum(w for _, w in atoms) + sum(d * (b - a) for _, a, b, d in pieces)
+            m = graph_measure(
+                g, [(p, w / total) for p, w in atoms], [(e, a, b, d / total) for e, a, b, d in pieces]
+            )
+            h = rng.choice([0.05, 0.3, 1.0])
+            self.check(g, m, h)
+            # atoms at cell centers
+            cells = [p for p, _ in _cell_pairs(GraphMeasure(pieces=m.pieces), h)][:2]
+            self.check(g, GraphMeasure(atoms=tuple((p, 0.0) for p in cells) + m.atoms, pieces=m.pieces), h)
 
 
 class TestW2Graph:
