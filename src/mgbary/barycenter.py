@@ -37,8 +37,8 @@ from .transport import (
     graph_measure,
     w2_graph,
 )
-from .tolerances import SNAP_TOL
-from .tolerances import _check_grid, _check_threshold, _check_weights
+from .tolerances import REL_TOL, SNAP_TOL
+from .tolerances import _check_disjoint, _check_grid, _check_threshold, _check_weights
 
 _log = logging.getLogger("mgbary")
 
@@ -48,7 +48,8 @@ class BarycenterProblem:
     """Weighted family of measures on one graph, plus the working grid spacing.
 
     Checked when built: at least one measure, each a ``GraphMeasure`` whose
-    atoms and pieces lie on ``graph``, with positive weights summing to 1,
+    atoms and pieces lie on ``graph``, no two pieces overlapping on an edge
+    (as ``graph_measure`` checks), with positive weights summing to 1,
     and a positive finite grid; else ``MeasureValidationError``.
     ``measures`` is kept as a tuple and ``grid`` as a float."""
 
@@ -68,13 +69,16 @@ class BarycenterProblem:
             try:
                 for p, _ in nu.atoms:
                     self.graph.canonical(p)
-                for eid, _, b, _ in nu.pieces:
+                for eid, a, b, _ in nu.pieces:
+                    if a < 0.0:
+                        raise ValueError(f"piece start {a!r} before edge {eid!r}")
                     if b > self.graph.edge(eid).length:
                         raise ValueError(f"piece end {b!r} past edge {eid!r}")
             except ValueError as err:
                 raise MeasureValidationError(
                     f"barycenter input is not on the problem's graph: {err}"
                 ) from None
+            _check_disjoint(sorted(nu.pieces))
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "grid", float(self.grid))
 
@@ -105,13 +109,18 @@ def objective(problem: BarycenterProblem, mu: DiscreteMeasure) -> float:
 
 
 def candidate_support(problem: BarycenterProblem) -> list[GraphPoint]:
-    """All vertices plus cell centers of every edge at the problem's spacing."""
+    """All vertices plus cell centers of every edge at the problem's spacing:
+    ``_edge_cells(0.0, length, grid)`` edge by edge, in its bits, built in one
+    pass whose cap check reads the edge of most cells."""
     g = problem.graph
-    points = [GraphPoint.at_vertex(v) for v in g.vertices]
-    for e in g.edges:
-        centers, _ = _edge_cells(0.0, e.length, problem.grid)
-        points.extend(GraphPoint.on_edge(e.id, c) for c in centers.tolist())
-    return points
+    lengths = np.array([e.length for e in g.edges])
+    cells = lengths / problem.grid - REL_TOL
+    _check_size(cells.max(), "cells on one edge")
+    n = np.maximum(1, np.ceil(cells)).astype(int)
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # each cell's index on its edge
+    centers = 0.0 + (k + 0.5) * np.repeat(lengths / n, n)
+    ids = [e.id for e, count in zip(g.edges, n.tolist()) for _ in range(count)]
+    return [*map(GraphPoint.at_vertex, g.vertices), *map(GraphPoint.on_edge, ids, centers.tolist())]
 
 
 def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
@@ -138,8 +147,8 @@ def solve_lp(problem: BarycenterProblem) -> tuple[DiscreteMeasure, float]:
     support, targets = candidate_support(problem), _targets(problem)
     rows, w, value, stats = _joint_lp(problem.graph, support, targets)
     _log.debug(
-        "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, each (method, IPM, crossover,"
-        " simplex iterations) %r, min slack off S %r",
+        "solve_lp grid %r: %d candidates, |S| %d, %d LP rounds, simplex iterations %r,"
+        " min slack off S %r",
         problem.grid, len(support), *stats,
     )
     mu = discrete_measure(problem.graph, [(support[i], float(wi)) for i, wi in zip(rows, w) if wi > 0.0])

@@ -131,8 +131,8 @@ def _unfold(table, p, q) -> tuple[np.ndarray, np.ndarray]:
         key = 3 * j + tags[i, j]
         split = np.bincount(key, weights=x[i, j])  # each target's mass by class, in row order
         _, first = np.unique(key, return_index=True)  # each (target, class)'s first entry
-        met = np.full(len(q), len(j))  # each target's first entry
-        np.minimum.at(met, j, np.arange(len(j)))
+        met, (hit, at) = np.zeros(len(q), dtype=int), np.unique(j, return_index=True)
+        met[hit] = at  # each target's first entry
         first = first[np.lexsort((first, met[j[first]]))]
         j, tag = j[first], tags[i[first], j[first]]
         cut = np.bincount(j, minlength=len(q))[j] > 1

@@ -58,6 +58,13 @@ def _piece_values(a, b, d, where: str) -> tuple[float, float, float]:
     return a, b, d
 
 
+def _check_disjoint(pieces) -> None:
+    """Sorted pieces ``(edge_id, a, b, density)`` overlap on no edge by more than ``MASS_TOL``."""
+    for (eid, _, end, _), (next_eid, start, _, _) in zip(pieces, pieces[1:]):
+        if eid == next_eid and start < end - MASS_TOL:
+            raise MeasureValidationError(f"overlapping pieces on edge {eid!r}")
+
+
 def _check_unit_mass(total: float, what: str = "total mass", tol: float = UNIT_MASS_TOL):
     if not abs(total - 1.0) <= tol:
         raise MeasureValidationError(f"{what} {total!r} is not 1")

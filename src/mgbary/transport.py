@@ -21,7 +21,6 @@ from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog  # unused here; perfbench/spans.py wraps it by this name
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
@@ -43,7 +42,7 @@ from .metric_graph import (
     parse_point,
 )
 from .tolerances import HIGHS_TIGHT_TOL, LENGTH_TOL, LP_ZERO_TOL, MARGINAL_TOL, MASS_TOL, REL_TOL
-from .tolerances import SNAP_TOL, _atom_mass, _check_grid, _check_unit_mass, _finite
+from .tolerances import SNAP_TOL, _atom_mass, _check_disjoint, _check_grid, _check_unit_mass, _finite
 from .tolerances import _merge_atoms, _piece_values
 
 _log = logging.getLogger("mgbary")
@@ -84,7 +83,7 @@ def graph_measure(
     """Canonicalize and validate a measure on ``g``."""
     atoms_t = tuple(_merge_atoms(atoms, g.canonical, GraphPoint.sort_key))
 
-    per_edge: dict[str, list[tuple[float, float, float]]] = {}
+    kept = []
     for eid, a, b, d in pieces:
         e = g.edge(eid)
         a, b, d = _piece_values(a, b, d, f" of edge {eid!r}")
@@ -96,15 +95,10 @@ def graph_measure(
             )
         a, b = max(a, 0.0), min(b, e.length)
         if d > 0.0:
-            per_edge.setdefault(eid, []).append((a, b, d))
-    pieces_l = []
-    for eid in sorted(per_edge):
-        runs = sorted(per_edge[eid])
-        for i in range(1, len(runs)):
-            if runs[i][0] < runs[i - 1][1] - MASS_TOL:
-                raise MeasureValidationError(f"overlapping pieces on edge {eid!r}")
-        pieces_l.extend((eid, a, b, d) for a, b, d in runs)
-    m = GraphMeasure(atoms=atoms_t, pieces=tuple(pieces_l))
+            kept.append((eid, a, b, d))
+    kept.sort()  # by edge id, then offset
+    _check_disjoint(kept)
+    m = GraphMeasure(atoms=atoms_t, pieces=tuple(kept))
     _check_unit_mass(m.total_mass())
     return m
 
@@ -263,36 +257,31 @@ def _cost_matrix(g: MetricGraph, xs: Sequence[GraphPoint], ys: Sequence[GraphPoi
     return np.float_power(_distance_matrix(g, xs, ys), 2)
 
 
-def _add_candidates(highs, lp, costs):
+def _add_candidates(highs, costs):
     """Join m more candidates, whose rows of coupling i's costs are
-    ``costs[i]``, to ``highs`` and to its model ``lp = (c, a_eq, b_eq)``,
-    from :func:`_highs_model` or an earlier call.
+    ``costs[i]``, to the :func:`_highs_model` ``highs``; return their m by
+    1 + sum k blocks' costs.
 
     The joint LP is laid out candidate by candidate. Its first rows are the
-    column sums of coupling 0, 1, ..., K - 1 (``b_eq`` the inputs' weights),
+    column sums of coupling 0, 1, ..., K - 1 (equal to the inputs' weights),
     then the unit-mass row. Each candidate appends one block: K rows, the row
-    sums of its K couplings less its weight (``b_eq`` 0), then its weight
+    sums of its K couplings less its weight (equal to 0), then its weight
     column (cost 0, 1 in the unit-mass row, -1 in its row sums), then the
     columns of its rows of couplings 0, ..., K - 1 (1 in their column-sum
-    row and in its row sum). Returns the grown ``lp``, CSC, and the m
-    weight columns."""
-    (c, a_eq, b_eq), m, ks = lp, costs[0].shape[0], [cost.shape[1] for cost in costs]
+    row and in its row sum)."""
+    m, ks = costs[0].shape[0], [cost.shape[1] for cost in costs]
     unit = sum(ks)  # the unit-mass row, after every column-sum row
-    own = len(b_eq) + len(ks) * np.arange(m)[:, None] + np.arange(len(ks))  # m by K row sums
+    own = highs.getNumRow() + len(ks) * np.arange(m)[:, None] + np.arange(len(ks))  # m by K row sums
     sums = own[:, np.repeat(np.arange(len(ks)), ks)]  # the row sum of each coupling column
     pairs = np.stack([np.broadcast_to(np.arange(unit), sums.shape), sums], -1)
     index = np.hstack([np.full((m, 1), unit), own, pairs.reshape(m, -1)]).ravel()
-    value = np.tile(np.r_[1.0, -np.ones(len(ks)), np.ones(2 * unit)], m)
-    starts = np.r_[0, np.cumsum(np.tile(np.r_[len(ks) + 1, np.full(unit, 2)], m))]
-    cost, zeros = np.hstack([np.zeros((m, 1)), *costs]).ravel(), np.zeros(m * len(ks))
+    value = np.tile(np.concatenate([[1.0], np.full(len(ks), -1.0), np.ones(2 * unit)]), m)
+    counts = np.tile(np.concatenate([[len(ks) + 1], np.full(unit, 2)]), m)  # nonzeros per column
+    blocks, zeros = np.hstack([np.zeros((m, 1)), *costs]), np.zeros(m * len(ks))
     highs.addRows(len(zeros), zeros, zeros, 0, [], [], [])
-    highs.addCols(len(cost), cost, np.zeros(len(cost)), np.full(len(cost), np.inf),
-                  len(index), starts[:-1], index, value)
-    a_eq = sparse.csc_matrix(
-        (np.r_[a_eq.data, value], np.r_[a_eq.indices, index], np.r_[a_eq.indptr, a_eq.nnz + starts[1:]]),
-        shape=(len(b_eq) + len(zeros), len(c) + len(cost)),
-    )
-    return (np.r_[c, cost], a_eq, np.r_[b_eq, zeros]), len(c) + (1 + unit) * np.arange(m)
+    highs.addCols(blocks.size, blocks.ravel(), np.zeros(blocks.size), np.full(blocks.size, np.inf),
+                  len(index), np.cumsum(counts) - counts, index, value)
+    return blocks
 
 
 def _weight_reduced_costs(costs, y: np.ndarray) -> np.ndarray:
@@ -312,20 +301,29 @@ def _certificate_tol(c: np.ndarray) -> float:
     return REL_TOL * max(1.0, float(c.max()))
 
 
-def _accepted(res, c: np.ndarray, a_eq, b_eq: np.ndarray) -> np.ndarray:
-    """The :func:`_certificate` of a solved ``linprog``-shaped answer ``res``
-    to ``min c @ x``, ``a_eq @ x = b_eq``, ``x >= 0``, with equality duals."""
+def _blocks_accepted(res, c: np.ndarray, nu: np.ndarray, ks) -> np.ndarray:
+    """The :func:`_certificate` of a solved answer ``res`` to an
+    :func:`_add_candidates` model, read off its blocks' costs ``c`` (|S| by
+    1 + sum k), column sums ``nu`` and input sizes ``ks``: ``x`` and the duals
+    ``beta``, unit-mass ``z`` and row sums ``own`` give the residuals of the
+    column sums, the weights' sum and each block's row sums, the reduced costs
+    ``c - (beta + own)`` and ``own.sum(1) - z``, and the gap ``c x - (nu beta + z)``."""
     if not res.success:
         raise SolverConsistencyError(f"LP solve failed: {res.message}")
-    zeroed, y = np.where(res.x < LP_ZERO_TOL, 0.0, res.x), res.eqlin.marginals
-    gap = abs(float(c @ res.x) - float(b_eq @ y))
-    return _certificate(zeroed, a_eq @ zeroed - b_eq, c - a_eq.T @ y, gap, c)
+    x, y, unit = np.where(res.x < LP_ZERO_TOL, 0.0, res.x).reshape(c.shape), res.eqlin.marginals, len(nu)
+    beta, z, own = y[:unit], y[unit], y[unit + 1 :].reshape(len(c), len(ks))
+    row_sums = np.add.reduceat(x[:, 1:], np.cumsum(ks) - ks, axis=1) - x[:, :1]
+    residual = np.concatenate([x[:, 1:].sum(axis=0) - nu, [x[:, 0].sum() - 1.0], row_sums.ravel()])
+    coupling = (c[:, 1:] - (beta + np.repeat(own, ks, axis=1))).ravel()
+    gap = abs(float(c.ravel() @ res.x) - float(nu @ beta + z))
+    return _certificate(x, residual, np.concatenate([coupling, own.sum(axis=1) - z]), gap, c)
 
 
 def _plan_accepted(costs: np.ndarray, p, q, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The :func:`_certificate` of an n by k plan ``x`` of weights ``p`` and
-    ``q`` under ``costs``, with n row then k column duals ``y``, in the bits
-    of :func:`_accepted`: sums in index order, as CSR sums a row."""
+    ``q`` under ``costs``, with n row then k column duals ``y``, read off the
+    plan's own arrays as :func:`_blocks_accepted` reads the joint LP's: its
+    sums in index order, the bits a CSR product over the plan's LP gives."""
     zeroed, b, n = np.where(x < LP_ZERO_TOL, 0.0, x), np.concatenate([p, q]), len(p)
     sums = np.r_[np.cumsum(zeroed, axis=1)[:, -1], np.cumsum(zeroed, axis=0)[-1]]
     gap = abs(float(costs.ravel() @ x.ravel()) - float(b @ y))
@@ -350,23 +348,22 @@ def _certificate(x: np.ndarray, residual, reduced, gap: float, c: np.ndarray) ->
 
 
 def _highs_model(b_eq: np.ndarray):
-    """A HiGHS model of the rows ``a_eq @ x = b_eq`` and no columns yet, with
-    the options of ``linprog(method="highs-ds")``: dual simplex, every run
-    after the first warm-started from the last basis; and its ``lp = (c,
-    a_eq, b_eq)``, CSC, for :func:`_add_candidates` to grow. Its first run
-    returns the bits ``linprog`` gives on the grown arrays."""
+    """A HiGHS model of the rows ``a_eq @ x = b_eq``, no columns yet, with the
+    options of ``linprog(method="highs-ds")``: dual simplex, every run after
+    the first warm-started from the last basis. Its first run returns the
+    bits ``linprog`` gives on the arrays of the model it has grown to."""
     highs = _Highs()
     for option, value in (("output_flag", False), ("presolve", "on"), ("solver", "simplex")):
         highs.setOptionValue(option, value)
     highs.addRows(len(b_eq), b_eq, b_eq, 0, [], [], [])
-    return highs, (np.zeros(0), sparse.csc_matrix((len(b_eq), 0)), b_eq)
+    return highs
 
 
 def _highs_answer(highs, **options):
     """Run ``highs`` after setting ``options`` on it, which stay set. The
-    answer reads as :func:`_accepted` reads a ``linprog`` result (``success``,
-    ``message``, ``x``, ``eqlin.marginals``, ``fun``), plus the run's
-    ``method`` and its IPM, crossover and simplex iteration counts ``nit``."""
+    answer has the fields of a ``linprog`` result (``success``, ``message``,
+    ``x``, ``eqlin.marginals``, ``fun``), plus the run's ``method`` and its
+    IPM, crossover and simplex iteration counts ``nit``."""
     for option, value in options.items():
         highs.setOptionValue(option, value)
     highs.run()
@@ -382,28 +379,26 @@ def _highs_answer(highs, **options):
     )
 
 
-def _certified(highs, lp):
-    """:func:`_highs_answer` of ``highs``, whose model is ``lp = (c, a_eq,
-    b_eq)``, and its :func:`_accepted` solution. An answer that fails
-    acceptance is solved once more on the same model with HiGHS's primal and
-    dual feasibility tolerances at ``HIGHS_TIGHT_TOL``, which stay set, and
-    only that answer's failure is raised."""
+def _certified(highs, blocks):
+    """:func:`_highs_answer` of ``highs``, whose model is ``blocks = (c, nu,
+    ks)``, and its :func:`_blocks_accepted` solution, a row per block. An
+    answer that fails acceptance is solved once more on the same model with
+    HiGHS's primal and dual feasibility tolerances at ``HIGHS_TIGHT_TOL``,
+    which stay set, and only that answer's failure is raised."""
     res = _highs_answer(highs)
     try:
-        return res, _accepted(res, *lp)
+        return res, _blocks_accepted(res, *blocks)
     except SolverConsistencyError:
-        res = _highs_answer(
-            highs,
-            primal_feasibility_tolerance=HIGHS_TIGHT_TOL,
-            dual_feasibility_tolerance=HIGHS_TIGHT_TOL,
-        )
-        return res, _accepted(res, *lp)
+        tight = {f"{kind}_feasibility_tolerance": HIGHS_TIGHT_TOL for kind in ("primal", "dual")}
+        res = _highs_answer(highs, **tight)
+        return res, _blocks_accepted(res, *blocks)
 
 
 def _joint_lp(g: MetricGraph, points: Sequence[GraphPoint], targets):
     """The barycenter LP of ``targets``, ``[(lam, DiscreteMeasure)]``, over
     ``points``: the last S as sorted indices into ``points``, their weights
-    over their sum, the value and ``(|S|, rounds, runs, min slack off S)``.
+    over their sum, the value and ``(|S|, rounds, each round's simplex
+    iterations, min slack off S)``.
 
     The optimal barycenter has small support, so each LP spans a candidate set
     S. Extended to every other candidate by the c-transform, its duals price
@@ -414,31 +409,33 @@ def _joint_lp(g: MetricGraph, points: Sequence[GraphPoint], targets):
     model serves every round: each round appends its new candidates, in the
     layout of :func:`_add_candidates`, the first round the best Dirac
     position alone, and runs :func:`_highs_model`'s simplex, cold in round 1
-    and warm-started from the last basis after.
+    and warm-started from the last basis after. Each round's answer is
+    certified by :func:`_blocks_accepted` on the candidates' blocks, with no
+    copy of the model's matrix.
     """
-    n = len(points)
-    _check_size(n + n * sum(len(t.points) for _, t in targets), "LP variables")
-    ends = np.cumsum([len(t.points) for _, t in targets])[:-1]
+    n, weights = len(points), [t.weights for _, t in targets]
+    nu, ks = np.concatenate(weights), [len(w) for w in weights]
+    _check_size(n + n * len(nu), "LP variables")
     full = _cost_matrix(g, points, [p for _, t in targets for p in t.points])
-    costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, ends, axis=1))]
-    weights = [t.weights for _, t in targets]
+    costs = [lam * cost for (lam, _), cost in zip(targets, np.split(full, np.cumsum(ks)[:-1], axis=1))]
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
     new = np.argsort(dirac, kind="stable")[:1]
     tol = max(_certificate_tol(cost) for cost in costs)
-    highs, lp = _highs_model(np.r_[np.concatenate(weights), 1.0])
-    rows, col = new[:0], np.zeros(n, dtype=int)  # S, and each candidate's weight column once in S
+    highs = _highs_model(np.r_[nu, 1.0])
+    order, c = new[:0], np.zeros((0, 1 + len(nu)))  # S in the order it joined, its blocks' costs
     runs = []
     while new.size:
-        lp, col[new] = _add_candidates(highs, lp, [cost[new] for cost in costs])
-        rows = np.union1d(rows, new)
-        res, x = _certified(highs, lp)
-        runs.append((res.method, *res.nit))
+        c = np.vstack([c, _add_candidates(highs, [cost[new] for cost in costs])])
+        order = np.concatenate([order, new])
+        res, x = _certified(highs, (c, nu, ks))
+        runs.append(res.nit[2])
         slack = _weight_reduced_costs(costs, res.eqlin.marginals)
-        slack[rows] = np.inf
-        new = np.argsort(slack, kind="stable")[: len(rows)]  # S at most doubles
+        slack[order] = np.inf
+        new = np.argsort(slack, kind="stable")[: len(order)]  # S at most doubles
         new = new[slack[new] < -tol]
-    w = x[col[rows]]
-    return rows, w / w.sum(), float(res.fun), (len(rows), len(runs), tuple(runs), float(slack.min()))
+    by_row = np.argsort(order)
+    w, stats = x[by_row, 0], (len(order), len(runs), tuple(runs), float(slack.min()))
+    return order[by_row], w / w.sum(), float(res.fun), stats
 
 
 def _edge_frame(g: MetricGraph, edge_id: str, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):
@@ -529,9 +526,8 @@ def _unfolded_plan(frame, p, q) -> np.ndarray:
             delta = kinks[_argmin_convex(lambda j: cost(t, kinks[j]), len(kinks))]
             best = min(best, (cost(t, delta), t, delta))
     i, j, mass = _nw_cells(cum, unfolded(*best[1:]))
-    x = np.zeros((len(a), len(q)))
-    np.add.at(x, (order[i], target[j]), mass)
-    return np.where(x < LP_ZERO_TOL, 0.0, x)
+    x = np.bincount(order[i] * len(q) + target[j], mass, len(a) * len(q))  # added in cell order
+    return np.where(x < LP_ZERO_TOL, 0.0, x).reshape(len(a), len(q))
 
 
 def _support_duals(costs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -570,8 +566,11 @@ def _support_duals(costs: np.ndarray, x: np.ndarray) -> np.ndarray:
     lx, ly = label[:n], label[n:]
     # least[a, b]: least reduced cost from component a's sources to component b's
     # targets; a point without plan mass is a component of its own
+    pair = (count * lx[:, None] + ly[None, :]).ravel()
+    by_pair = np.argsort(pair)
+    pairs, starts = np.unique(pair[by_pair], return_index=True)
     least = np.full((count, count), np.inf)
-    np.minimum.at(least, (lx[:, None], ly[None, :]), reduced + tol / 2)
+    least.flat[pairs] = np.minimum.reduceat((reduced + tol / 2).ravel()[by_pair], starts)
     shift = np.zeros(count)  # shift[a] - shift[b] <= least[a, b]
     for _ in range(count + 1):
         relaxed = np.minimum(shift, np.min(shift[None, :] + least, axis=1))
@@ -883,33 +882,16 @@ def restrict(
     f1 = {p: sub.get(p, 0.0) / weights[p] for p in m.points}
     _, plan = w2_graph(g, m, nu)
 
-    entries1 = []
-    entries2 = []
-    for x, y, mass in plan.entries:
-        w1 = mass * f1[x] / lam
-        w2 = mass * (1.0 - f1[x]) / (1.0 - lam)
-        if w1 > 0.0:
-            entries1.append((x, y, w1))
-        if w2 > 0.0:
-            entries2.append((x, y, w2))
-    plan1 = _make_plan(g, entries1)
-    plan2 = _make_plan(g, entries2)
-
+    parts = (
+        [(x, y, mass * f1[x] / lam) for x, y, mass in plan.entries],
+        [(x, y, mass * (1.0 - f1[x]) / (1.0 - lam)) for x, y, mass in plan.entries],
+    )
+    plan1, plan2 = (_make_plan(g, [e for e in part if e[2] > 0.0]) for part in parts)
+    rest = {p: weights[p] - sub.get(p, 0.0) for p in m.points}
     mu1 = discrete_measure(g, [(p, sub[p] / lam) for p in sub])
-    mu2 = discrete_measure(
-        g,
-        [
-            (p, (weights[p] - sub.get(p, 0.0)) / (1.0 - lam))
-            for p in m.points
-            if weights[p] - sub.get(p, 0.0) > 0.0
-        ],
-    )
-    nu1 = discrete_measure(g, plan1.target_marginal().items())
-    nu2 = discrete_measure(g, plan2.target_marginal().items())
-    return RestrictionResult(
-        lam=lam, mu1=mu1, mu2=mu2, nu1=nu1, nu2=nu2,
-        plan=plan, plan1=plan1, plan2=plan2,
-    )
+    mu2 = discrete_measure(g, [(p, r / (1.0 - lam)) for p, r in rest.items() if r > 0.0])
+    nu1, nu2 = (discrete_measure(g, p.target_marginal().items()) for p in (plan1, plan2))
+    return RestrictionResult(lam, mu1, mu2, nu1, nu2, plan, plan1, plan2)
 
 
 def graph_measure_to_json(m: GraphMeasure, digits: int | None = None, fmt=None) -> dict:

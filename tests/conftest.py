@@ -3,7 +3,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy import sparse
 
-from mgbary import GraphPoint, build_graph, graph_measure
+from mgbary import GraphPoint, SolverConsistencyError, build_graph, graph_measure
+from mgbary.tolerances import LP_ZERO_TOL
+from mgbary.transport import _certificate
 
 settings.register_profile(
     "ci",
@@ -163,7 +165,7 @@ def _coo_coupling_lp(costs, targets, source=None):
     plan. Without one, the joint LP coupling by coupling: n weight columns,
     then each coupling's n by k columns, row-major; its n row sums less the
     weights, then its k column sums; the unit-mass row last. This is
-    ``_add_candidates``' LP with its rows and columns permuted."""
+    ``_block_lp``'s LP with its rows and columns permuted."""
     n = costs[0].shape[0]
     lead = n if source is None else 0
     c, rows, cols, vals, b = [np.zeros(lead)], [], [], [], []
@@ -190,3 +192,34 @@ def _coo_coupling_lp(costs, targets, source=None):
         shape=(row0, col0),
     )
     return np.concatenate(c), a_eq, np.concatenate(b)
+
+
+def _block_lp(costs, weights):
+    """The joint LP of ``_add_candidates``' layout over every row of
+    ``costs``, in order, as arrays: ``(c, a_eq, b_eq)``, ``a_eq`` CSC, and
+    the weight columns. HiGHS holds this model after any appends of these
+    rows; it is the reference that ``linprog`` and ``_accepted`` read."""
+    m, ks = costs[0].shape[0], [cost.shape[1] for cost in costs]
+    unit = sum(ks)  # the unit-mass row, after every column-sum row
+    own = unit + 1 + len(ks) * np.arange(m)[:, None] + np.arange(len(ks))  # m by K row sums
+    sums = own[:, np.repeat(np.arange(len(ks)), ks)]  # the row sum of each coupling column
+    pairs = np.stack([np.broadcast_to(np.arange(unit), sums.shape), sums], -1)
+    index = np.hstack([np.full((m, 1), unit), own, pairs.reshape(m, -1)]).ravel()
+    value = np.tile(np.r_[1.0, -np.ones(len(ks)), np.ones(2 * unit)], m)
+    starts = np.r_[0, np.cumsum(np.tile(np.r_[len(ks) + 1, np.full(unit, 2)], m))]
+    c = np.hstack([np.zeros((m, 1)), *costs]).ravel()
+    b_eq = np.r_[np.concatenate(weights), 1.0, np.zeros(m * len(ks))]
+    a_eq = sparse.csc_matrix((value, index, starts), shape=(len(b_eq), len(c)))
+    return c, a_eq, b_eq, (1 + unit) * np.arange(m)
+
+
+def _accepted(res, c, a_eq, b_eq):
+    """The certificate of a solved ``linprog``-shaped answer ``res`` to
+    ``min c @ x``, ``a_eq @ x = b_eq``, ``x >= 0``, with equality duals, by
+    sparse products: the reference for ``_blocks_accepted`` and
+    ``_plan_accepted``, which read the same checks off their own arrays."""
+    if not res.success:
+        raise SolverConsistencyError(f"LP solve failed: {res.message}")
+    zeroed, y = np.where(res.x < LP_ZERO_TOL, 0.0, res.x), res.eqlin.marginals
+    gap = abs(float(c @ res.x) - float(b_eq @ y))
+    return _certificate(zeroed, a_eq @ zeroed - b_eq, c - a_eq.T @ y, gap, c)

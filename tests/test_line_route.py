@@ -25,6 +25,7 @@ import mgbary.covering
 import mgbary.line_ot
 import mgbary.transport
 from conftest import (
+    _accepted,
     _coo_coupling_lp,
     make_skewed_square,
     make_square_with_chord,
@@ -45,7 +46,6 @@ from mgbary import (
     w2_graph,
 )
 from mgbary.tolerances import SNAP_TOL
-from mgbary.transport import _accepted
 
 FALLBACK = "line route falls back to the transportation simplex"
 

@@ -5,31 +5,45 @@ as ``linprog(method="highs-ds")`` does; each later round appends the new
 candidates' rows and columns to the same model and runs the simplex from the
 basis the last run left. The reference here is the loop that solves every
 round from scratch through ``linprog``, on the LP of the same layout: every
-candidate of S in the order it joined.
+candidate of S in the order it joined, built as sparse arrays by
+``conftest._block_lp`` and accepted by ``conftest._accepted``.
 """
 
+import ast
 import logging
+import pathlib
 import random
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from scipy.optimize._highspy import _core
 
 import mgbary.transport
-from conftest import make_skewed_square, make_square_with_chord, make_triangle, make_tripod
+from conftest import (
+    _accepted,
+    _block_lp,
+    make_skewed_square,
+    make_square_with_chord,
+    make_triangle,
+    make_tripod,
+)
 from mgbary import SolverConsistencyError, barycenter_problem, discrete_measure, graph_measure, solve_lp
 from mgbary.barycenter import _targets, candidate_support
 from mgbary.tolerances import HIGHS_TIGHT_TOL
 from mgbary.transport import (
-    _accepted,
     _add_candidates,
     _certificate_tol,
     _cost_matrix,
     _highs_answer,
     _highs_model,
+    _joint_lp,
     _weight_reduced_costs,
 )
+from test_tolerances import _negated_costs
 
 GRAPHS = {
     "tripod": make_tripod,
@@ -71,12 +85,11 @@ def _cold_solve_lp(problem):
     dirac = sum(cost @ np.asarray(w) for cost, w in zip(costs, weights))
     new = np.argsort(dirac, kind="stable")[:1]
     tol = max(_certificate_tol(cost) for cost in costs)
-    b_eq = np.r_[np.concatenate(weights), 1.0]
     order, rounds = new[:0], 0  # S in the order it joined
     while new.size:
         rounds += 1
         order = np.r_[order, new]
-        lp, cols = _add_candidates(*_highs_model(b_eq), [cost[order] for cost in costs])
+        *lp, cols = _block_lp([cost[order] for cost in costs], weights)
         res, x = _cold_solved(*lp)
         slack = _weight_reduced_costs(costs, res.eqlin.marginals)
         slack[order] = np.inf
@@ -155,7 +168,7 @@ def test_one_model_serves_every_round(monkeypatch, caplog):
 def test_highs_binding_exposes_what_solve_lp_uses():
     highs = _core._Highs()
     for method in (
-        "setOptionValue", "getOptionValue", "run", "addRows", "addCols",
+        "setOptionValue", "getOptionValue", "run", "addRows", "addCols", "getNumRow",
         "getModelStatus", "modelStatusToString", "getInfo", "getSolution",
     ):
         assert callable(getattr(highs, method, None)), method
@@ -180,9 +193,152 @@ def test_first_run_returns_the_bits_of_linprog(name, seed, size):
     g, targets = problem.graph, _targets(problem)
     support = candidate_support(problem)[:size]
     costs = [lam * _cost_matrix(g, support, t.points) for lam, t in targets]
-    highs, lp = _highs_model(np.r_[np.concatenate([t.weights for _, t in targets]), 1.0])
-    lp, _ = _add_candidates(highs, lp, costs)
+    weights = [t.weights for _, t in targets]
+    highs = _highs_model(np.r_[np.concatenate(weights), 1.0])
+    _add_candidates(highs, costs)
     res = _highs_answer(highs)
-    ref = scipy.optimize.linprog(lp[0], A_eq=lp[1], b_eq=lp[2], bounds=(0, None), method="highs-ds")
+    c, a_eq, b_eq, _ = _block_lp(costs, weights)
+    ref = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
     assert res.method == "simplex" and res.fun == ref.fun
     assert np.array_equal(res.x, ref.x) and np.array_equal(res.eqlin.marginals, ref.eqlin.marginals)
+
+
+def _decision(check, *args):
+    """What a certificate check decides: the zeroed answer's bits, or the
+    kind of its refusal, its message with the numbers left out."""
+    try:
+        return "accepted", check(*args).ravel().tolist()
+    except SolverConsistencyError as exc:
+        return "refused", re.sub(r"-?\d[\d.]*(e[-+]?\d+)?", "#", str(exc))
+
+
+def _recorded_decisions(monkeypatch):
+    """Each answer ``_blocks_accepted`` checks from now on, as the pair of
+    its decision and ``conftest._accepted``'s on the sparse arrays of the
+    same model."""
+    decisions = []
+    real = mgbary.transport._blocks_accepted
+
+    def both(res, c, nu, ks):
+        ends = np.cumsum(ks)[:-1]
+        c_eq, a_eq, b_eq, _ = _block_lp(np.split(c[:, 1:], ends, axis=1), np.split(nu, ends))
+        decisions.append((_decision(real, res, c, nu, ks), _decision(_accepted, res, c_eq, a_eq, b_eq)))
+        return real(res, c, nu, ks)
+
+    monkeypatch.setattr(mgbary.transport, "_blocks_accepted", both)
+    return decisions
+
+
+def test_block_certificate_decides_as_the_sparse_one(monkeypatch):
+    """On every round of every problem, the certificate read off the
+    candidates' blocks accepts the same bits as the sparse products."""
+    decisions = _recorded_decisions(monkeypatch)
+    for name, seed in PROBLEMS:
+        solve_lp(_seeded_problem(name, seed))
+    assert len(decisions) > len(PROBLEMS)  # some problems take more than one round
+    assert all(got == ref and got[0] == "accepted" for got, ref in decisions)
+
+
+def _optimal_blocks(rng, m, ks):
+    """An optimal answer to a model of m blocks, built from its duals: the
+    weights w and couplings w nu_i^T of every block, costs ``beta + own``
+    tight on them, and ``z`` the sum of every block's ``own``. Returns the
+    costs, ``nu``, ``x`` and ``y``, each in the model's layout."""
+    nu = [v / v.sum() for v in (rng.random(k) for k in ks)]
+    w = rng.random(m)
+    w /= w.sum()
+    beta, own = rng.random(sum(ks)), rng.random((m, len(ks)))
+    z = own.sum(axis=1).max() + 1.0
+    own[:, -1] += z - own.sum(axis=1)
+    c = np.hstack([np.zeros((m, 1)), beta + np.repeat(own, ks, axis=1)])
+    x = np.hstack([w[:, None], *(np.outer(w, v) for v in nu)])
+    return c, np.concatenate(nu), x, np.r_[beta, z, own.ravel()]
+
+
+def _moved(x, y, moves):
+    x, y = x.copy(), y.copy()
+    for array, index, delta in moves:
+        (x if array == "x" else y)[index] += delta
+    return x, y
+
+
+BLOCK_FAULTS = {  # (array, index, delta) moves on a 3-block answer, ks (3, 2, 4), and the refusal
+    "optimal": ([], None),
+    "row sums": ([("x", (0, 1), 1e-6), ("x", (1, 1), -1e-6)], "marginal"),  # column sums kept
+    "column sums": ([("x", (0, 1), 1e-6), ("x", (0, 2), -1e-6)], "marginal"),  # row sums kept
+    "coupling reduced cost": ([("y", 9 + 1, 1e-6)], "certificate"),  # own[0, 0]
+    "weight reduced cost": ([("y", 9 + 1, -1e-6)], "certificate"),
+    "gap": ([("y", 9, -1e-6)], "certificate"),  # z
+}
+
+
+@pytest.mark.parametrize("fault", list(BLOCK_FAULTS))
+def test_each_block_check_decides_as_the_sparse_one(fault):
+    """Each check of ``_blocks_accepted`` alone: an optimal answer, then one
+    moved so that only its row sums, its column sums, a coupling or a weight
+    reduced cost, or its gap fails, decided as the sparse products decide."""
+    moves, reason = BLOCK_FAULTS[fault]
+    ks = [3, 2, 4]
+    for seed in range(5):
+        c, nu, x, y = _optimal_blocks(np.random.default_rng(seed), 3, ks)
+        x, y = _moved(x, y, moves)
+        res = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
+        ends = np.cumsum(ks)[:-1]
+        c_eq, a_eq, b_eq, _ = _block_lp(np.split(c[:, 1:], ends, axis=1), np.split(nu, ends))
+        got = _decision(mgbary.transport._blocks_accepted, res, c, nu, ks)
+        assert got == _decision(_accepted, res, c_eq, a_eq, b_eq), seed
+        assert got[0] == "accepted" if reason is None else got[0] == "refused" and reason in got[1]
+
+
+def _drifted(res):
+    res.x[1] += 1e-6  # the first coupling column of the first candidate
+    return res
+
+
+def _shifted(res):
+    res.eqlin.marginals[-1] += 1e-6  # the last row, a row sum of the last candidate
+    return res
+
+
+FAULTS = {
+    "drifted coupling": (lambda real, highs, **options: _drifted(real(highs, **options)), "marginal"),
+    "shifted dual": (lambda real, highs, **options: _shifted(real(highs, **options)), "certificate"),
+    "worst point": (_negated_costs, "certificate"),  # the feasible but most expensive vertex
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_block_certificate_refuses_as_the_sparse_one(monkeypatch, fault):
+    """With a fault injected into every HiGHS answer, both checks refuse
+    round 1's answer and its re-solve, for the same reason."""
+    decisions = _recorded_decisions(monkeypatch)
+    inject, reason = FAULTS[fault]
+    real = mgbary.transport._highs_answer
+    monkeypatch.setattr(mgbary.transport, "_highs_answer", lambda highs, **options: inject(real, highs, **options))
+    for name, seed in PROBLEMS:
+        with pytest.raises(SolverConsistencyError, match=reason):
+            solve_lp(_seeded_problem(name, seed))
+    assert len(decisions) == 2 * len(PROBLEMS)
+    assert all(got == ref and got[0] == "refused" for got, ref in decisions)
+
+
+def test_joint_lp_builds_no_sparse_matrix(monkeypatch):
+    """The joint LP is grown in HiGHS and certified on dense blocks: no round
+    builds a scipy sparse matrix, and ``transport`` imports no ``scipy.sparse``."""
+    problem = _seeded_problem("triangle", 0)
+    g, support, targets = problem.graph, candidate_support(problem), _targets(problem)
+    _joint_lp(g, support, targets)  # the graph's distance rows, read once
+    built = []
+    real = scipy.sparse._base._spbase.__init__
+    monkeypatch.setattr(
+        scipy.sparse._base._spbase, "__init__",
+        lambda self, *args, **kwargs: built.append(type(self).__name__) or real(self, *args, **kwargs),
+    )
+    assert _joint_lp(g, support, targets)[3][1] >= 2  # LP rounds
+    assert built == []
+    tree = ast.parse(pathlib.Path(mgbary.transport.__file__).read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {
+        f"{n.module}.{a.name}" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names
+    }
+    assert not any(name.startswith("scipy.sparse") for name in imported), imported

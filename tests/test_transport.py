@@ -26,7 +26,7 @@ from mgbary import (
     w2_graph,
 )
 from mgbary.transport import GraphMeasure, _add_candidates, _cost_matrix, _edge_cells, _highs_model
-from conftest import _coo_coupling_lp, make_segment, random_graph, random_point
+from conftest import _block_lp, _coo_coupling_lp, make_segment, random_graph, random_point
 
 V = GraphPoint.at_vertex
 E = GraphPoint.on_edge
@@ -564,10 +564,10 @@ class TestJson:
 
 
 class TestJointLpLayout:
-    """``_add_candidates`` writes the joint LP candidate by candidate. Under
-    the permutation its docstring documents, that is the coupling-major LP of
-    ``_coo_coupling_lp`` over the candidates in append order, and it is the
-    model HiGHS holds."""
+    """``_add_candidates`` writes the joint LP candidate by candidate: HiGHS
+    holds ``_block_lp``'s model of the candidates in append order, whose
+    blocks' costs it returns. Under the permutation its docstring documents,
+    that is the coupling-major LP of ``_coo_coupling_lp``."""
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_seed_and_two_appends_permute_the_coupling_lp(self, count):
@@ -575,11 +575,11 @@ class TestJointLpLayout:
         ks, batches = rng.integers(1, 8, count), [5, 1, 3]
         n, unit = sum(batches), int(sum(ks))
         costs, qs = [rng.random((n, k)) for k in ks], [rng.random(k) for k in ks]
-        highs, lp = _highs_model(np.r_[np.concatenate(qs), 1.0])
-        weight_cols = []
-        for lo, hi in zip(np.cumsum([0, *batches[:-1]]), np.cumsum(batches)):
-            lp, cols = _add_candidates(highs, lp, [cost[lo:hi] for cost in costs])
-            weight_cols.append(cols)
+        highs = _highs_model(np.r_[np.concatenate(qs), 1.0])
+        blocks = np.vstack([
+            _add_candidates(highs, [cost[lo:hi] for cost in costs])
+            for lo, hi in zip(np.cumsum([0, *batches[:-1]]), np.cumsum(batches))
+        ])
         # coupling i's rows and columns in the coupling-major LP
         row0 = np.cumsum([0, *(n + ks[:-1])])
         col0 = n + n * np.cumsum([0, *ks[:-1]])
@@ -592,13 +592,14 @@ class TestJointLpLayout:
             np.r_[t, np.concatenate([c + t * k + np.arange(k) for c, k in zip(col0, ks)])]
             for t in range(n)
         ])
-        c, a_eq, b_eq = lp
+        c, a_eq, b_eq, weight_cols = _block_lp(costs, qs)
         ref_c, ref_a, ref_b = _coo_coupling_lp(costs, qs)
         assert sorted(rows) == list(range(len(ref_b))) and sorted(cols) == list(range(len(ref_c)))
         assert np.array_equal(c, ref_c[cols]) and np.array_equal(b_eq, ref_b[rows])
         assert a_eq.format == "csc"
         assert np.array_equal(a_eq.toarray(), ref_a.toarray()[np.ix_(rows, cols)])
-        assert np.array_equal(np.concatenate(weight_cols), (1 + unit) * np.arange(n))
+        assert np.array_equal(weight_cols, (1 + unit) * np.arange(n))
+        assert blocks.shape == (n, 1 + unit) and np.array_equal(blocks.ravel(), c)
         model = highs.getLp()
         assert np.array_equal(model.col_cost_, c) and np.array_equal(model.row_lower_, b_eq)
         assert np.array_equal(model.row_upper_, b_eq)

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import _coo_coupling_lp, random_point
+from conftest import _accepted, _coo_coupling_lp, random_point
 from mgbary import GraphPoint, solve_edge_fixed_point, w2_graph
 from mgbary.cli import main
-from mgbary.transport import _accepted, _plan_accepted, _transport_simplex
+from mgbary.transport import _plan_accepted, _transport_simplex
 from test_barycenter import DENSE_REFERENCE_PROBLEMS, _pieces_problem
 from test_cli import tripod_problem
 from test_line_route import GRAPHS, _answer, _Recorder, _problem, _reference, _unit
