@@ -38,7 +38,7 @@ from .transport import (
     w2_graph,
 )
 from .tolerances import REL_TOL, SNAP_TOL
-from .tolerances import _check_disjoint, _check_grid, _check_threshold, _check_weights
+from .tolerances import _check_disjoint, _check_grid, _check_threshold, _check_weights, _piece_values
 
 _log = logging.getLogger("mgbary")
 
@@ -69,7 +69,8 @@ class BarycenterProblem:
             try:
                 for p, _ in nu.atoms:
                     self.graph.canonical(p)
-                for eid, a, b, _ in nu.pieces:
+                for eid, *values in nu.pieces:
+                    a, b, _ = _piece_values(*values, f" of edge {eid!r}")
                     if a < 0.0:
                         raise ValueError(f"piece start {a!r} before edge {eid!r}")
                     if b > self.graph.edge(eid).length:

@@ -17,7 +17,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -166,20 +165,15 @@ def _indexed(points: Iterable[GraphPoint]) -> dict[GraphPoint, int]:
     return {p: i for i, p in enumerate(dict.fromkeys(points))}
 
 
-def _make_plan(g: MetricGraph, entries, costs=None) -> TransportPlan:
+def _make_plan(entries, costs) -> TransportPlan:
     """The plan of ``entries`` sorted by point, its cost summed in that order.
 
     ``costs`` is ``(xs, ys, c)`` with ``c[i, j]`` the squared distance from
-    ``xs[i]`` to ``ys[j]``; by default one :func:`_cost_matrix` over the
-    entries' distinct points.
+    ``xs[i]`` to ``ys[j]``.
     """
     ordered = tuple(
         sorted(entries, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
     )
-    if costs is None:
-        xs = list(dict.fromkeys(x for x, _, _ in ordered))
-        ys = list(dict.fromkeys(y for _, y, _ in ordered))
-        costs = xs, ys, _cost_matrix(g, xs, ys)
     xs, ys, c = costs
     rows, cols = _indexed(xs), _indexed(ys)
     cost = sum(m * float(c[rows[x], cols[y]]) for x, y, m in ordered)
@@ -301,21 +295,20 @@ def _certificate_tol(c: np.ndarray) -> float:
     return REL_TOL * max(1.0, float(c.max()))
 
 
-def _blocks_accepted(res, c: np.ndarray, nu: np.ndarray, ks) -> np.ndarray:
-    """The :func:`_certificate` of a solved answer ``res`` to an
+def _blocks_accepted(c: np.ndarray, nu: np.ndarray, ks, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The :func:`_certificate` of a solution ``x`` with row duals ``y`` of an
     :func:`_add_candidates` model, read off its blocks' costs ``c`` (|S| by
     1 + sum k), column sums ``nu`` and input sizes ``ks``: ``x`` and the duals
     ``beta``, unit-mass ``z`` and row sums ``own`` give the residuals of the
     column sums, the weights' sum and each block's row sums, the reduced costs
     ``c - (beta + own)`` and ``own.sum(1) - z``, and the gap ``c x - (nu beta + z)``."""
-    if not res.success:
-        raise SolverConsistencyError(f"LP solve failed: {res.message}")
-    x, y, unit = np.where(res.x < LP_ZERO_TOL, 0.0, res.x).reshape(c.shape), res.eqlin.marginals, len(nu)
+    unit = len(nu)
     beta, z, own = y[:unit], y[unit], y[unit + 1 :].reshape(len(c), len(ks))
+    gap = abs(float(c.ravel() @ x) - float(nu @ beta + z))
+    x = np.where(x < LP_ZERO_TOL, 0.0, x).reshape(c.shape)
     row_sums = np.add.reduceat(x[:, 1:], np.cumsum(ks) - ks, axis=1) - x[:, :1]
     residual = np.concatenate([x[:, 1:].sum(axis=0) - nu, [x[:, 0].sum() - 1.0], row_sums.ravel()])
     coupling = (c[:, 1:] - (beta + np.repeat(own, ks, axis=1))).ravel()
-    gap = abs(float(c.ravel() @ res.x) - float(nu @ beta + z))
     return _certificate(x, residual, np.concatenate([coupling, own.sum(axis=1) - z]), gap, c)
 
 
@@ -348,10 +341,10 @@ def _certificate(x: np.ndarray, residual, reduced, gap: float, c: np.ndarray) ->
 
 
 def _highs_model(b_eq: np.ndarray):
-    """A HiGHS model of the rows ``a_eq @ x = b_eq``, no columns yet, with the
-    options of ``linprog(method="highs-ds")``: dual simplex, every run after
-    the first warm-started from the last basis. Its first run returns the
-    bits ``linprog`` gives on the arrays of the model it has grown to."""
+    """A HiGHS model of equality rows of right-hand sides ``b_eq``, no columns
+    yet, with the options of ``linprog(method="highs-ds")``: dual simplex,
+    every run after the first warm-started from the last basis. Its first run
+    returns the bits ``linprog`` gives on the arrays of the model it has grown to."""
     highs = _Highs()
     for option, value in (("output_flag", False), ("presolve", "on"), ("solver", "simplex")):
         highs.setOptionValue(option, value)
@@ -359,39 +352,36 @@ def _highs_model(b_eq: np.ndarray):
     return highs
 
 
-def _highs_answer(highs, **options):
-    """Run ``highs`` after setting ``options`` on it, which stay set. The
-    answer has the fields of a ``linprog`` result (``success``, ``message``,
-    ``x``, ``eqlin.marginals``, ``fun``), plus the run's ``method`` and its
-    IPM, crossover and simplex iteration counts ``nit``."""
-    for option, value in options.items():
-        highs.setOptionValue(option, value)
+def _highs_answer(highs):
+    """Run ``highs`` and read its answer ``(x, y, value, iterations)``: the
+    column values, the row duals, the objective value and the simplex
+    iteration count. A status other than optimal raises
+    ``SolverConsistencyError`` ("LP solve failed: <status>")."""
     highs.run()
     status, info, solution = highs.getModelStatus(), highs.getInfo(), highs.getSolution()
-    return SimpleNamespace(
-        success=status == HighsModelStatus.kOptimal,
-        message=highs.modelStatusToString(status),
-        x=np.array(solution.col_value),
-        eqlin=SimpleNamespace(marginals=np.array(solution.row_dual)),
-        fun=info.objective_function_value,
-        method=highs.getOptionValue("solver")[1],
-        nit=(info.ipm_iteration_count, info.crossover_iteration_count, info.simplex_iteration_count),
-    )
+    if status != HighsModelStatus.kOptimal:
+        raise SolverConsistencyError(f"LP solve failed: {highs.modelStatusToString(status)}")
+    x, y = np.array(solution.col_value), np.array(solution.row_dual)
+    return x, y, info.objective_function_value, info.simplex_iteration_count
 
 
 def _certified(highs, blocks):
-    """:func:`_highs_answer` of ``highs``, whose model is ``blocks = (c, nu,
-    ks)``, and its :func:`_blocks_accepted` solution, a row per block. An
-    answer that fails acceptance is solved once more on the same model with
-    HiGHS's primal and dual feasibility tolerances at ``HIGHS_TIGHT_TOL``,
-    which stay set, and only that answer's failure is raised."""
-    res = _highs_answer(highs)
+    """The :func:`_highs_answer` of ``highs``, whose model is ``blocks = (c,
+    nu, ks)``, with its :func:`_blocks_accepted` solution, a row per block, in
+    place of ``x``. A run that fails or whose answer fails acceptance is run
+    once more on the same model after setting HiGHS's primal and dual
+    feasibility tolerances to ``HIGHS_TIGHT_TOL``, which stay set, and only
+    that run's failure is raised."""
+    def accepted():
+        x, y, value, iterations = _highs_answer(highs)
+        return _blocks_accepted(*blocks, x, y), y, value, iterations
+
     try:
-        return res, _blocks_accepted(res, *blocks)
+        return accepted()
     except SolverConsistencyError:
-        tight = {f"{kind}_feasibility_tolerance": HIGHS_TIGHT_TOL for kind in ("primal", "dual")}
-        res = _highs_answer(highs, **tight)
-        return res, _blocks_accepted(res, *blocks)
+        for kind in ("primal", "dual"):
+            highs.setOptionValue(f"{kind}_feasibility_tolerance", HIGHS_TIGHT_TOL)
+        return accepted()
 
 
 def _joint_lp(g: MetricGraph, points: Sequence[GraphPoint], targets):
@@ -427,15 +417,15 @@ def _joint_lp(g: MetricGraph, points: Sequence[GraphPoint], targets):
     while new.size:
         c = np.vstack([c, _add_candidates(highs, [cost[new] for cost in costs])])
         order = np.concatenate([order, new])
-        res, x = _certified(highs, (c, nu, ks))
-        runs.append(res.nit[2])
-        slack = _weight_reduced_costs(costs, res.eqlin.marginals)
+        x, y, value, iterations = _certified(highs, (c, nu, ks))
+        runs.append(iterations)
+        slack = _weight_reduced_costs(costs, y)
         slack[order] = np.inf
         new = np.argsort(slack, kind="stable")[: len(order)]  # S at most doubles
         new = new[slack[new] < -tol]
     by_row = np.argsort(order)
     w, stats = x[by_row, 0], (len(order), len(runs), tuple(runs), float(slack.min()))
-    return order[by_row], w / w.sum(), float(res.fun), stats
+    return order[by_row], w / w.sum(), float(value), stats
 
 
 def _edge_frame(g: MetricGraph, edge_id: str, xs: Sequence[GraphPoint], ys: Sequence[GraphPoint]):
@@ -748,7 +738,7 @@ def w2_graph(
         (m1.points[i], m2.points[j], float(x[i, j]))
         for i, j in zip(*np.nonzero(x))
     ]
-    plan = _make_plan(g, entries, (m1.points, m2.points, costs))
+    plan = _make_plan(entries, (m1.points, m2.points, costs))
     return plan.cost, plan
 
 
@@ -828,7 +818,7 @@ def decompose_plan(
     for x, y, m in plan.entries:
         parts[tags[rows[x], cols[y]]].append((x, y, m))
     costs = list(rows), list(cols), np.float_power(frame[3][2:], 2)
-    return tuple(_make_plan(g, part, costs) for part in parts)
+    return tuple(_make_plan(part, costs) for part in parts)
 
 
 @dataclass(frozen=True)
@@ -886,7 +876,8 @@ def restrict(
         [(x, y, mass * f1[x] / lam) for x, y, mass in plan.entries],
         [(x, y, mass * (1.0 - f1[x]) / (1.0 - lam)) for x, y, mass in plan.entries],
     )
-    plan1, plan2 = (_make_plan(g, [e for e in part if e[2] > 0.0]) for part in parts)
+    costs = m.points, nu.points, _cost_matrix(g, m.points, nu.points)
+    plan1, plan2 = (_make_plan([e for e in part if e[2] > 0.0], costs) for part in parts)
     rest = {p: weights[p] - sub.get(p, 0.0) for p in m.points}
     mu1 = discrete_measure(g, [(p, sub[p] / lam) for p in sub])
     mu2 = discrete_measure(g, [(p, r / (1.0 - lam)) for p, r in rest.items() if r > 0.0])

@@ -161,10 +161,10 @@ def _coo_coupling_lp(costs, targets, source=None):
     """The coupling LP in COO, converted by scipy to CSR. With a ``source``,
     the LP of one transport problem: n row-sum equations equal to
     ``source``, then k column-sum equations equal to ``targets[0]``, the
-    layout whose answers ``_accepted`` checks as ``_plan_accepted`` checks a
-    plan. Without one, the joint LP coupling by coupling: n weight columns,
-    then each coupling's n by k columns, row-major; its n row sums less the
-    weights, then its k column sums; the unit-mass row last. This is
+    layout whose answers ``_solution_accepted`` checks as ``_plan_accepted``
+    checks a plan. Without one, the joint LP coupling by coupling: n weight
+    columns, then each coupling's n by k columns, row-major; its n row sums
+    less the weights, then its k column sums; the unit-mass row last. This is
     ``_block_lp``'s LP with its rows and columns permuted."""
     n = costs[0].shape[0]
     lead = n if source is None else 0
@@ -198,7 +198,8 @@ def _block_lp(costs, weights):
     """The joint LP of ``_add_candidates``' layout over every row of
     ``costs``, in order, as arrays: ``(c, a_eq, b_eq)``, ``a_eq`` CSC, and
     the weight columns. HiGHS holds this model after any appends of these
-    rows; it is the reference that ``linprog`` and ``_accepted`` read."""
+    rows; it is the reference that ``linprog`` and ``_solution_accepted``
+    read."""
     m, ks = costs[0].shape[0], [cost.shape[1] for cost in costs]
     unit = sum(ks)  # the unit-mass row, after every column-sum row
     own = unit + 1 + len(ks) * np.arange(m)[:, None] + np.arange(len(ks))  # m by K row sums
@@ -214,12 +215,17 @@ def _block_lp(costs, weights):
 
 
 def _accepted(res, c, a_eq, b_eq):
-    """The certificate of a solved ``linprog``-shaped answer ``res`` to
-    ``min c @ x``, ``a_eq @ x = b_eq``, ``x >= 0``, with equality duals, by
-    sparse products: the reference for ``_blocks_accepted`` and
-    ``_plan_accepted``, which read the same checks off their own arrays."""
+    """The :func:`_solution_accepted` of a ``linprog`` result ``res``."""
     if not res.success:
         raise SolverConsistencyError(f"LP solve failed: {res.message}")
-    zeroed, y = np.where(res.x < LP_ZERO_TOL, 0.0, res.x), res.eqlin.marginals
-    gap = abs(float(c @ res.x) - float(b_eq @ y))
+    return _solution_accepted(c, a_eq, b_eq, res.x, res.eqlin.marginals)
+
+
+def _solution_accepted(c, a_eq, b_eq, x, y):
+    """The certificate of a solution ``x`` with equality duals ``y`` to
+    ``min c @ x``, ``a_eq @ x = b_eq``, ``x >= 0``, by sparse products: the
+    reference for ``_blocks_accepted`` and ``_plan_accepted``, which read the
+    same checks off their own arrays."""
+    zeroed = np.where(x < LP_ZERO_TOL, 0.0, x)
+    gap = abs(float(c @ x) - float(b_eq @ y))
     return _certificate(zeroed, a_eq @ zeroed - b_eq, c - a_eq.T @ y, gap, c)

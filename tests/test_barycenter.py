@@ -3,6 +3,7 @@ import logging
 import math
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -649,6 +650,13 @@ class TestRestrictionProperty:
                 assert objective(split_problem, mu_i) <= lp_value + 1e-6
 
 
+def _names(tree) -> set[str]:
+    """Every name, attribute and imported name of a module's syntax tree."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return names | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
 class TestJointLpEntry:
     """``transport._joint_lp`` owns the joint LP; ``solve_lp`` only states it."""
 
@@ -657,12 +665,9 @@ class TestJointLpEntry:
     def test_only_transport_knows_the_lp(self):
         src = pathlib.Path(mgbary.barycenter.__file__).parent
         tree = ast.parse((src / "barycenter.py").read_text())
-        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
-        banned = {*self.PRIVATE, "_certificate_tol", "_cost_matrix", "eqlin"}
-        assert names & banned == set() and "solver" not in strings
+        banned = {*self.PRIVATE, "_certificate_tol", "_cost_matrix"}
+        assert _names(tree) & banned == set() and "solver" not in strings
         imported = {
             a.name
             for n in tree.body
@@ -672,10 +677,13 @@ class TestJointLpEntry:
         }
         assert imported == {"_branch_table", "_check_size", "_edge_cells", "_joint_lp"}
         for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            # HiGHS answers are plain arrays: no module builds or reads a linprog-shaped record
+            assert _names(tree) & {"SimpleNamespace", "eqlin"} == set(), path.name
             if path.name != "transport.py":
                 calls = {
                     getattr(n.func, "id", getattr(n.func, "attr", None))
-                    for n in ast.walk(ast.parse(path.read_text()))
+                    for n in ast.walk(tree)
                     if isinstance(n, ast.Call)
                 }
                 assert calls & set(self.PRIVATE) == set(), path.name
@@ -728,6 +736,14 @@ def _bad_problems(g):
                         "not on the problem's graph: piece start -0.5 before edge 'b1'"),
         "overlapping-pieces": ([(1.0, GraphMeasure(pieces=(("b1", 0.0, 0.6, 1.0), ("b1", 0.4, 0.8, 1.0))))],
                                0.25, "overlapping pieces on edge 'b1'"),
+        "nan-bound": ([(1.0, GraphMeasure(pieces=(("b1", math.nan, 0.5, 1.0),)))], 0.25,
+                      re.escape("non-finite piece [nan, 0.5) density 1.0 of edge 'b1'")),
+        "reversed-piece": ([(1.0, GraphMeasure(pieces=(("b1", 0.5, 0.25, 1.0),)))], 0.25,
+                           re.escape("piece with b < a: [0.5, 0.25) of edge 'b1'")),
+        "negative-density": ([(1.0, GraphMeasure(pieces=(("b1", 0.0, 0.5, -2.0),)))], 0.25,
+                             re.escape("negative density -2.0 on [0.0, 0.5) of edge 'b1'")),
+        "infinite-density": ([(1.0, GraphMeasure(pieces=(("b1", 0.0, 0.5, math.inf),)))], 0.25,
+                             re.escape("non-finite piece [0.0, 0.5) density inf of edge 'b1'")),
     }
 
 

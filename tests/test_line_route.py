@@ -14,7 +14,6 @@ import logging
 import random
 import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ import mgbary.transport
 from conftest import (
     _accepted,
     _coo_coupling_lp,
+    _solution_accepted,
     make_skewed_square,
     make_square_with_chord,
     make_triangle,
@@ -106,15 +106,10 @@ def _reference(g, m1, m2):
     return float(res.fun), (c, a_eq, b_eq)
 
 
-def _answer(x, y):
-    """A plan ``x`` and its duals ``y`` as ``_accepted`` reads a ``linprog`` result."""
-    return SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
-
-
 class _Recorder:
     """Counts the transport LPs of ``w2_graph`` that reach HiGHS (``lps``) and
-    the simplex (``simplex``), and keeps each plan it certifies, with its
-    duals, as an :func:`_answer`."""
+    the simplex (``simplex``), and keeps each plan it certifies, flattened,
+    with its duals."""
 
     def __init__(self, monkeypatch):
         self.lps, self.simplex, self.answers = 0, 0, []
@@ -130,7 +125,7 @@ class _Recorder:
             return real_simplex(*args)
 
         def accepted(costs, p, q, x, y):
-            self.answers.append(_answer(x, y))
+            self.answers.append((x.ravel(), y))
             return real_accepted(costs, p, q, x, y)
 
         monkeypatch.setattr(mgbary.transport, "linprog", linprog)
@@ -171,7 +166,7 @@ class TestLineRouteMatchesTheLp:
             value, lp = _reference(g, m1, m2)
             assert abs(cost - value) <= 1e-12 * value
             assert recorder.lps == 0
-            _accepted(recorder.answers[-1], *lp)  # the line route's answer or the simplex's
+            _solution_accepted(*lp, *recorder.answers[-1])  # the line route's answer or the simplex's
             answered += recorder.simplex == 0
         assert answered >= (25 if name in CYCLES or name == "tripod" else 15)
 
@@ -301,7 +296,7 @@ def test_plan_check_decides_as_the_lp_check():
     """``_plan_accepted`` reads a plan's marginals, reduced costs and gap off
     its own arrays. On seeded answers of both routes and on faulted ones, it
     returns the same zeroed plan, bit for bit, or raises the same message as
-    ``_accepted`` on the plan's single-coupling LP."""
+    ``_solution_accepted`` on the plan's single-coupling LP."""
     decided = {}
     for name in GRAPHS:
         g, rng = GRAPHS[name](), random.Random(f"plan check:{name}")
@@ -311,7 +306,7 @@ def test_plan_check_decides_as_the_lp_check():
             lp = _coo_coupling_lp([costs], [m2.weights], m1.weights)
             for route, x, y in answers:
                 got = _decision(mgbary.transport._plan_accepted, costs, m1.weights, m2.weights, x, y)
-                assert got == _decision(_accepted, _answer(x, y), *lp), (name, i, route)
+                assert got == _decision(_solution_accepted, *lp, x.ravel(), y), (name, i, route)
                 kind = next(v for k, v in OUTCOMES.items() if got.startswith(k))
                 decided.setdefault(route, set()).add(kind)
     assert decided == {

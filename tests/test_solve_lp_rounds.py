@@ -14,7 +14,6 @@ import logging
 import pathlib
 import random
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ import mgbary.transport
 from conftest import (
     _accepted,
     _block_lp,
+    _solution_accepted,
     make_skewed_square,
     make_square_with_chord,
     make_triangle,
@@ -36,7 +36,9 @@ from mgbary.barycenter import _targets, candidate_support
 from mgbary.tolerances import HIGHS_TIGHT_TOL
 from mgbary.transport import (
     _add_candidates,
+    _blocks_accepted,
     _certificate_tol,
+    _certified,
     _cost_matrix,
     _highs_answer,
     _highs_model,
@@ -196,11 +198,11 @@ def test_first_run_returns_the_bits_of_linprog(name, seed, size):
     weights = [t.weights for _, t in targets]
     highs = _highs_model(np.r_[np.concatenate(weights), 1.0])
     _add_candidates(highs, costs)
-    res = _highs_answer(highs)
+    x, y, value, _ = _highs_answer(highs)
     c, a_eq, b_eq, _ = _block_lp(costs, weights)
     ref = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
-    assert res.method == "simplex" and res.fun == ref.fun
-    assert np.array_equal(res.x, ref.x) and np.array_equal(res.eqlin.marginals, ref.eqlin.marginals)
+    assert highs.getOptionValue("solver")[1] == "simplex" and value == ref.fun
+    assert np.array_equal(x, ref.x) and np.array_equal(y, ref.eqlin.marginals)
 
 
 def _decision(check, *args):
@@ -214,16 +216,17 @@ def _decision(check, *args):
 
 def _recorded_decisions(monkeypatch):
     """Each answer ``_blocks_accepted`` checks from now on, as the pair of
-    its decision and ``conftest._accepted``'s on the sparse arrays of the
-    same model."""
+    its decision and ``conftest._solution_accepted``'s on the sparse arrays
+    of the same model."""
     decisions = []
     real = mgbary.transport._blocks_accepted
 
-    def both(res, c, nu, ks):
+    def both(c, nu, ks, x, y):
         ends = np.cumsum(ks)[:-1]
         c_eq, a_eq, b_eq, _ = _block_lp(np.split(c[:, 1:], ends, axis=1), np.split(nu, ends))
-        decisions.append((_decision(real, res, c, nu, ks), _decision(_accepted, res, c_eq, a_eq, b_eq)))
-        return real(res, c, nu, ks)
+        sparse = _decision(_solution_accepted, c_eq, a_eq, b_eq, x, y)
+        decisions.append((_decision(real, c, nu, ks, x, y), sparse))
+        return real(c, nu, ks, x, y)
 
     monkeypatch.setattr(mgbary.transport, "_blocks_accepted", both)
     return decisions
@@ -282,27 +285,26 @@ def test_each_block_check_decides_as_the_sparse_one(fault):
     for seed in range(5):
         c, nu, x, y = _optimal_blocks(np.random.default_rng(seed), 3, ks)
         x, y = _moved(x, y, moves)
-        res = SimpleNamespace(success=True, x=x.ravel(), eqlin=SimpleNamespace(marginals=y))
         ends = np.cumsum(ks)[:-1]
         c_eq, a_eq, b_eq, _ = _block_lp(np.split(c[:, 1:], ends, axis=1), np.split(nu, ends))
-        got = _decision(mgbary.transport._blocks_accepted, res, c, nu, ks)
-        assert got == _decision(_accepted, res, c_eq, a_eq, b_eq), seed
+        got = _decision(_blocks_accepted, c, nu, ks, x.ravel(), y)
+        assert got == _decision(_solution_accepted, c_eq, a_eq, b_eq, x.ravel(), y), seed
         assert got[0] == "accepted" if reason is None else got[0] == "refused" and reason in got[1]
 
 
-def _drifted(res):
-    res.x[1] += 1e-6  # the first coupling column of the first candidate
-    return res
+def _drifted(answer):
+    answer[0][1] += 1e-6  # x: the first coupling column of the first candidate
+    return answer
 
 
-def _shifted(res):
-    res.eqlin.marginals[-1] += 1e-6  # the last row, a row sum of the last candidate
-    return res
+def _shifted(answer):
+    answer[1][-1] += 1e-6  # y: the last row, a row sum of the last candidate
+    return answer
 
 
 FAULTS = {
-    "drifted coupling": (lambda real, highs, **options: _drifted(real(highs, **options)), "marginal"),
-    "shifted dual": (lambda real, highs, **options: _shifted(real(highs, **options)), "certificate"),
+    "drifted coupling": (lambda real, highs: _drifted(real(highs)), "marginal"),
+    "shifted dual": (lambda real, highs: _shifted(real(highs)), "certificate"),
     "worst point": (_negated_costs, "certificate"),  # the feasible but most expensive vertex
 }
 
@@ -314,7 +316,7 @@ def test_block_certificate_refuses_as_the_sparse_one(monkeypatch, fault):
     decisions = _recorded_decisions(monkeypatch)
     inject, reason = FAULTS[fault]
     real = mgbary.transport._highs_answer
-    monkeypatch.setattr(mgbary.transport, "_highs_answer", lambda highs, **options: inject(real, highs, **options))
+    monkeypatch.setattr(mgbary.transport, "_highs_answer", lambda highs: inject(real, highs))
     for name, seed in PROBLEMS:
         with pytest.raises(SolverConsistencyError, match=reason):
             solve_lp(_seeded_problem(name, seed))
@@ -342,3 +344,38 @@ def test_joint_lp_builds_no_sparse_matrix(monkeypatch):
         f"{n.module}.{a.name}" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names
     }
     assert not any(name.startswith("scipy.sparse") for name in imported), imported
+
+
+def _infeasible_model():
+    """A joint LP with no solution: one input of column sums 0.5 and 0.6,
+    which add up to more than the unit mass, and one candidate."""
+    nu, cost = np.array([0.5, 0.6]), np.array([[1.0, 2.0]])
+    highs = _highs_model(np.r_[nu, 1.0])
+    return highs, (_add_candidates(highs, [cost]), nu, [2])
+
+
+def test_non_optimal_status_is_reported():
+    """A run whose status is not optimal is refused by ``_highs_answer``,
+    and by ``_certified`` after its run at tight tolerances."""
+    highs, _ = _infeasible_model()
+    with pytest.raises(SolverConsistencyError, match="LP solve failed: Infeasible"):
+        _highs_answer(highs)
+    highs, blocks = _infeasible_model()
+    with pytest.raises(SolverConsistencyError, match="LP solve failed: Infeasible"):
+        _certified(highs, blocks)
+    for kind in ("primal", "dual"):
+        assert highs.getOptionValue(f"{kind}_feasibility_tolerance")[1] == HIGHS_TIGHT_TOL
+
+
+JOINT_LP_GOLDEN = pathlib.Path(__file__).parent / "golden" / "joint_lp.txt"
+
+
+def _golden_joint_lp() -> str:
+    """The ``repr`` of ``solve_lp`` on each of ``PROBLEMS``, one a line."""
+    return "".join(f"{name} {seed}: {solve_lp(_seeded_problem(name, seed))!r}\n" for name, seed in PROBLEMS)
+
+
+def test_results_match_golden_file():
+    # a change that must keep results identical keeps this file; one that
+    # changes a result on purpose writes _golden_joint_lp() there
+    assert _golden_joint_lp().encode("utf-8") == JOINT_LP_GOLDEN.read_bytes()

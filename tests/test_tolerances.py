@@ -163,10 +163,10 @@ class TestSolveLpChecksItsCouplings:
     def test_drifted_coupling_is_reported(self, monkeypatch):
         real = mgbary.transport._highs_answer
 
-        def drifted(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.x[1] += 1e-6  # the first coupling column of the first candidate
-            return res
+        def drifted(highs):
+            answer = real(highs)
+            answer[0][1] += 1e-6  # x: the first coupling column of the first candidate
+            return answer
 
         g = make_tripod()
         problem = barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
@@ -176,30 +176,52 @@ class TestSolveLpChecksItsCouplings:
             solve_lp(problem)
 
 
-def _negated_costs(real, highs, **options):
+TIGHT_OPTIONS = [(f"{kind}_feasibility_tolerance", HIGHS_TIGHT_TOL) for kind in ("primal", "dual")]
+
+
+def _highs_log(monkeypatch):
+    """Each option set on, and each run of, the HiGHS models built from now
+    on, in order: ``(option, value)`` pairs and ``"run"``."""
+    log = []
+
+    class Logged(mgbary.transport._Highs):
+        def setOptionValue(self, option, value):
+            log.append((option, value))
+            return super().setOptionValue(option, value)
+
+        def run(self):
+            log.append("run")
+            return super().run()
+
+    monkeypatch.setattr(mgbary.transport, "_Highs", Logged)
+    return log
+
+
+def _negated_costs(real, highs):
     """``real`` run on ``highs`` with its model's costs negated, then restored."""
     c = np.array(highs.getLp().col_cost_)
     columns = np.arange(len(c), dtype=np.int32)
     highs.changeColsCost(len(c), columns, -c)
     try:
-        return real(highs, **options)
+        return real(highs)
     finally:
         highs.changeColsCost(len(c), columns, c)
 
 
 class TestSolveLpChecksItsCertificate:
     """Faults injected into a solver's answer: HiGHS's for the joint LP of
-    ``solve_lp`` and the transportation simplex's for ``w2_graph``."""
+    ``solve_lp`` and the transportation simplex's for ``w2_graph``, each
+    with its duals second."""
 
     @staticmethod
-    def _worst_point(real, duals, negated, *args, **kwargs):
+    def _worst_point(real, negated, *args):
         # feasible but the most expensive vertex: the optimum of the negated costs
-        return negated(real, *args, **kwargs)
+        return negated(real, *args)
 
     @staticmethod
-    def _shifted_duals(real, duals, negated, *args, **kwargs):
-        answer = real(*args, **kwargs)
-        duals(answer)[-1] += 1e-6  # the last row, right-hand side > 0
+    def _shifted_duals(real, negated, *args):
+        answer = real(*args)
+        answer[1][-1] += 1e-6  # the last row, right-hand side > 0
         return answer
 
     @staticmethod
@@ -207,8 +229,7 @@ class TestSolveLpChecksItsCertificate:
         g = make_tripod()
         problem = problem or barycenter_problem(g, tripod_outer_halves(g), grid=0.25)
         return (
-            mgbary.transport, "_highs_answer", lambda res: res.eqlin.marginals,
-            _negated_costs, lambda: solve_lp(problem),
+            mgbary.transport, "_highs_answer", _negated_costs, lambda: solve_lp(problem),
         )
 
     @staticmethod
@@ -218,7 +239,7 @@ class TestSolveLpChecksItsCertificate:
         m1 = discrete_measure(g, [(V("t1"), 0.5), (E("b2", 0.5), 0.5)])
         m2 = discrete_measure(g, [(V("t3"), 0.25), (E("b1", 0.25), 0.75)])
         return (
-            mgbary.transport, "_transport_simplex", lambda answer: answer[1],
+            mgbary.transport, "_transport_simplex",
             lambda real, c, *args: real(-c, *args), lambda: w2_graph(g, m1, m2),
         )
 
@@ -231,60 +252,55 @@ class TestSolveLpChecksItsCertificate:
         ],
     )
     def test_non_optimal_answer_is_reported(self, monkeypatch, fault, solver):
-        module, name, duals, negated, solve = getattr(self, solver)()
+        module, name, negated, solve = getattr(self, solver)()
         real = getattr(module, name)
         solve()
         wrapper = getattr(self, fault)
         monkeypatch.setattr(
-            module, name, lambda *args, **kwargs: wrapper(real, duals, negated, *args, **kwargs)
+            module, name, lambda *args: wrapper(real, negated, *args)
         )
         with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
             solve()
 
     def test_failed_answer_is_solved_once_more_at_tight_tolerances(self, monkeypatch):
-        module, name, duals, negated, solve = self._solve_lp()
+        module, name, negated, solve = self._solve_lp()
         real = getattr(module, name)
         value = float(solve()[1])
-        options = []
+        log = _highs_log(monkeypatch)
 
-        def first_shifted(highs, **kwargs):
-            options.append(kwargs)
-            if len(options) == 1:
-                return self._shifted_duals(real, duals, negated, highs, **kwargs)
-            return real(highs, **kwargs)
+        def first_shifted(highs):
+            if log.count("run") == 0:
+                return self._shifted_duals(real, negated, highs)
+            return real(highs)
 
         monkeypatch.setattr(module, name, first_shifted)
         got = float(solve()[1])
         assert abs(got - value) <= 1e-12 * value
-        assert options[0] == {}
-        assert options[1] == dict.fromkeys(
-            ("primal_feasibility_tolerance", "dual_feasibility_tolerance"), HIGHS_TIGHT_TOL
-        )
+        # the model's own options, the failed run, then the two tight options
+        assert log[3:7] == ["run", *TIGHT_OPTIONS, "run"] and set(log[7:]) <= {"run"}
 
     def test_a_warm_round_is_certified_too(self, monkeypatch):
         # three inputs on the square with a chord at h = 1/64: 6 LP rounds
         g = make_square_with_chord()
         pieces = [("q41", 0.05, 0.6, 1 / 0.55), ("q34", 0.4, 0.7, 1 / 0.3), ("q13", 0.1, 0.5, 1 / 0.4)]
         measures = [(lam, graph_measure(g, pieces=[p])) for lam, p in zip((0.4, 0.35, 0.25), pieces)]
-        module, name, duals, negated, solve = self._solve_lp(barycenter_problem(g, measures, 1 / 64))
+        module, name, negated, solve = self._solve_lp(barycenter_problem(g, measures, 1 / 64))
         real = getattr(module, name)
         solve()
-        options = []
+        log = _highs_log(monkeypatch)
 
         # every run after round 1's; round 2's last row is a new candidate's
         # row sum, whose shifted dual leaves a reduced cost of -1e-6
-        def later_shifted(highs, **kwargs):
-            options.append(kwargs)
-            if len(options) == 1:
-                return real(highs, **kwargs)
-            return self._shifted_duals(real, duals, negated, highs, **kwargs)
+        def later_shifted(highs):
+            if log.count("run") == 0:
+                return real(highs)
+            return self._shifted_duals(real, negated, highs)
 
         monkeypatch.setattr(module, name, later_shifted)
         with pytest.raises(SolverConsistencyError, match="dual certificate fails"):
             solve()
-        # round 2's warm simplex run, then its re-solve, whose failure is raised
-        assert options[:2] == [{}, {}] and len(options) == 3
-        assert set(options[2].values()) == {HIGHS_TIGHT_TOL}
+        # round 1's run, round 2's warm simplex run, then its re-solve, whose failure is raised
+        assert log[3:] == ["run", "run", *TIGHT_OPTIONS, "run"]
 
 
 # masses, bounds and densities: half of them values that can add up to a

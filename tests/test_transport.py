@@ -430,7 +430,10 @@ class TestDecompose:
         assert sum(len(p.entries) for p in parts) == len(plan.entries)
         assert sum(bool(p.entries) for p in parts) == 2
         for part in parts:
-            assert repr(part) == repr(mgbary.transport._make_plan(triangle, part.entries))
+            xs = list(dict.fromkeys(x for x, _, _ in part.entries))
+            ys = list(dict.fromkeys(y for _, y, _ in part.entries))
+            reference = mgbary.transport._make_plan(part.entries, (xs, ys, _cost_matrix(triangle, xs, ys)))
+            assert repr(part) == repr(reference)
 
     def test_rejects_source_mass_off_edge(self, tripod):
         m1 = discrete_measure(tripod, [(E("b2", 0.5), 1.0)])

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import _accepted, _coo_coupling_lp, random_point
+from conftest import _accepted, _coo_coupling_lp, _solution_accepted, random_point
 from mgbary import GraphPoint, solve_edge_fixed_point, w2_graph
 from mgbary.cli import main
 from mgbary.transport import _plan_accepted, _transport_simplex
 from test_barycenter import DENSE_REFERENCE_PROBLEMS, _pieces_problem
 from test_cli import tripod_problem
-from test_line_route import GRAPHS, _answer, _Recorder, _problem, _reference, _unit
+from test_line_route import GRAPHS, _Recorder, _problem, _reference, _unit
 
 
 def _highs(costs, p, q):
@@ -43,7 +43,7 @@ def test_seeded_problems_match_highs(name):
         x, y, _ = _transport_simplex(costs, m1.weights, m2.weights)
         assert abs(float(lp[0] @ x.ravel()) - value) <= 1e-12 * value, (name, i)
         _plan_accepted(costs, m1.weights, m2.weights, x, y)
-        _accepted(_answer(x, y), *lp)
+        _solution_accepted(*lp, x.ravel(), y)
 
 
 def _degenerate_cases():
@@ -84,7 +84,7 @@ def test_degenerate_problems_end_within_the_pivot_bound():
         value = _highs(costs, p, q)
         assert abs(float((x * costs).sum()) - value) <= 1e-12 * max(value, 1.0)
         _plan_accepted(costs, p, q, x, y)
-        _accepted(_answer(x, y), *_coo_coupling_lp([costs], [q], p))
+        _solution_accepted(*_coo_coupling_lp([costs], [q], p), x.ravel(), y)
 
 
 def test_endpoint_only_sources_are_solved_by_the_simplex(monkeypatch):
